@@ -23,6 +23,12 @@ Three run outcomes are *modelled behaviour*, not failures:
 Only :class:`repro.errors.InvariantViolation` counts as a chaos failure:
 it means some interleaving corrupted the modelled state.  ``repro chaos``
 exits non-zero iff the violation list is non-empty.
+
+A preset may reject a scheme up front (``three-hop-lossy`` injects link
+faults, which the FFA file-server protocol cannot retransmit through).
+:func:`run_chaos` checks every preset x scheme pair before running any
+cell and reports the rejected pairs as ``unsupported`` instead of dying
+on the first one.
 """
 
 from __future__ import annotations
@@ -96,6 +102,10 @@ class ChaosReport:
     #: when the sweep ran with ``slos=...``; a breached sweep is not
     #: ``ok`` and flips ``repro chaos`` to exit 1.
     slo_breaches: list[dict] = field(default_factory=list)
+    #: Preset x scheme pairs the preset rejected before the sweep ran
+    #: (``{"preset": ..., "scheme": ..., "reason": ...}``); their cells
+    #: were skipped.
+    unsupported: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -110,13 +120,16 @@ class ChaosReport:
     def to_text(self) -> str:
         lines = []
         counts = self.counts()
-        lines.append(
+        header = (
             f"chaos sweep: {len(self.runs)} runs — "
             f"{counts['completed']} completed, {counts['killed']} killed, "
             f"{counts['exhausted']} retry-exhausted, "
             f"{len(self.violations)} invariant violations, "
             f"{len(self.slo_breaches)} SLO breaches"
         )
+        if self.unsupported:
+            header += f", {len(self.unsupported)} unsupported preset/scheme pairs"
+        lines.append(header)
         for run in self.runs:
             detail = (
                 f"crashes={run.crashes} aborts={run.migration_aborts} "
@@ -129,6 +142,11 @@ class ChaosReport:
             lines.append(
                 f"  {run.preset:12s} {run.scheme:10s} seed={run.seed:<3d} "
                 f"{run.outcome:10s} {detail}"
+            )
+        for pair in self.unsupported:
+            lines.append(
+                f"  {pair['preset']:12s} {pair['scheme']:10s} unsupported  "
+                f"[{pair['reason']}]"
             )
         for run, violation in self.violations:
             lines.append(
@@ -211,6 +229,29 @@ def chaos_cell(
     return run, violation
 
 
+def unsupported_pairs(presets, schemes, scale: float = 1 / 32) -> list[dict]:
+    """The preset x scheme pairs whose preset rejects the scheme.
+
+    Each pair's scenario is built once (no simulation runs); a preset
+    that raises :class:`repro.errors.MigrationError` marks the pair
+    unsupported, with the error's first line as the reason.
+    """
+    out = []
+    for preset in presets:
+        for scheme in schemes:
+            try:
+                build_preset(preset, scheme, scale=scale)
+            except MigrationError as exc:
+                out.append(
+                    {
+                        "preset": preset,
+                        "scheme": scheme,
+                        "reason": str(exc).splitlines()[0],
+                    }
+                )
+    return out
+
+
 def run_chaos(
     presets=DEFAULT_PRESETS,
     schemes=DEFAULT_SCHEMES,
@@ -223,6 +264,9 @@ def run_chaos(
     slos=(),
 ) -> ChaosReport:
     """Sweep ``presets x schemes x seeds`` under seeded crash schedules.
+
+    Pairs a preset rejects are skipped and listed on
+    :attr:`ChaosReport.unsupported` (checked before any cell runs).
 
     Every cell runs with :class:`repro.check.InvariantChecker` forced on;
     the defaults give 36 independent seeded schedules (the acceptance
@@ -238,9 +282,12 @@ def run_chaos(
         monitor = SLOMonitor(
             [s if isinstance(s, SLOSpec) else SLOSpec.parse(s) for s in slos]
         )
-    report = ChaosReport()
+    report = ChaosReport(unsupported=unsupported_pairs(presets, schemes, scale))
+    skipped = {(pair["preset"], pair["scheme"]) for pair in report.unsupported}
     for preset in presets:
         for scheme in schemes:
+            if (preset, scheme) in skipped:
+                continue
             for seed in seeds:
                 run, violation = chaos_cell(
                     preset,
@@ -272,4 +319,5 @@ __all__ = [
     "DEFAULT_SCHEMES",
     "chaos_cell",
     "run_chaos",
+    "unsupported_pairs",
 ]

@@ -1,4 +1,5 @@
-"""Cluster: a set of nodes fully connected by point-to-point links.
+"""Cluster: a set of nodes in a full mesh of point-to-point links, each
+link built on first use.
 
 Links default to the config's shared :class:`NetworkSpec`; ``link_specs``
 replaces individual links (keyed by either endpoint order) for
@@ -42,15 +43,7 @@ class Cluster:
         self.nodes: dict[str, Node] = {
             name: Node(name, config.hardware) for name in node_names
         }
-        names = list(node_names)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                spec = config.network
-                if link_specs:
-                    override = link_specs.get((a, b)) or link_specs.get((b, a))
-                    if override is not None:
-                        spec = override
-                self.network.connect(a, b, spec)
+        self.network.mesh(node_names, config.network, link_specs)
 
     def node(self, name: str) -> Node:
         try:

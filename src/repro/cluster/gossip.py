@@ -16,7 +16,8 @@ decentralized views instead of its omniscient default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..errors import ConfigurationError
 from ..net.message import Message, MessageKind
@@ -79,9 +80,16 @@ class GossipLoadMap:
         self._names = sorted(cluster.nodes)
         if len(self._names) < 2:
             raise ConfigurationError("gossip needs at least two nodes")
+        self._index = {name: i for i, name in enumerate(self._names)}
         self._rng = child_rng(seed, "gossip")
         #: views[node][other] -> LoadEntry
         self.views: dict[str, dict[str, LoadEntry]] = {n: {} for n in self._names}
+        #: loads[node][other] -> believed load, kept by _deliver in the
+        #: insertion order of ``views`` and handed out read-only by view().
+        self._loads: dict[str, dict[str, int]] = {n: {} for n in self._names}
+        self._load_views = {
+            n: MappingProxyType(loads) for n, loads in self._loads.items()
+        }
         #: suspects[node] -> peers this node currently believes dead
         self._suspects: dict[str, set[str]] = {n: set() for n in self._names}
         self.updates_sent = 0
@@ -105,8 +113,7 @@ class GossipLoadMap:
             # peers' views of it go stale — that staleness IS the failure
             # signal picked up by _evaluate_suspicions.
             return
-        peers = [n for n in self._names if n != sender]
-        target = peers[int(self._rng.integers(0, len(peers)))]
+        target = self._pick_target(sender)
         # Own fresh sample plus a random subset of known entries.
         payload: dict[str, LoadEntry] = {
             sender: LoadEntry(self.load_of(sender), self.sim.now)
@@ -129,16 +136,24 @@ class GossipLoadMap:
         self.cluster.network.send(message, self._deliver)
         self.updates_sent += 1
 
+    def _pick_target(self, sender: str) -> str:
+        """A peer of ``sender``, uniformly at random: one draw of a rank
+        among the other N-1 nodes, stepping over the sender's own slot."""
+        k = int(self._rng.integers(0, len(self._names) - 1))
+        return self._names[k + (k >= self._index[sender])]
+
     def _deliver(self, message: Message, _arrival: float) -> None:
         if self.node_plan is not None and self.node_plan.down(message.dst, _arrival):
             return  # the receiver is dark: the update is lost
         view = self.views[message.dst]
+        loads = self._loads[message.dst]
         for node, entry in message.body.items():
             if node == message.dst:
                 continue
             current = view.get(node)
             if current is None or entry.sampled_at > current.sampled_at:
                 view[node] = entry
+                loads[node] = entry.load
 
     # ------------------------------------------------------------------
     def _evaluate_suspicions(self, observer: str) -> None:
@@ -200,9 +215,11 @@ class GossipLoadMap:
         """Peers ``node`` currently believes are dead."""
         return frozenset(self._suspects[node])
 
-    def view(self, node: str) -> dict[str, int]:
-        """``{other_node: believed_load}`` as known at ``node`` right now."""
-        return {other: entry.load for other, entry in self.views[node].items()}
+    def view(self, node: str) -> Mapping[str, int]:
+        """``{other_node: believed_load}`` as known at ``node``: a live,
+        read-only mapping that later deliveries keep current (copy it to
+        keep a snapshot)."""
+        return self._load_views[node]
 
     def staleness(self, node: str, other: str) -> float | None:
         """Age of ``node``'s knowledge about ``other`` (None if unknown)."""

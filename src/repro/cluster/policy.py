@@ -91,7 +91,9 @@ class ThresholdPolicy(MigrationPolicy):
     def select_target(
         self, node: str, own_load: int, view: Mapping[str, int]
     ) -> str | None:
-        if not view:
+        # Loads are never negative, so no peer can open the gap when the
+        # node's own load is already below it: skip the O(view) scan.
+        if own_load < self.load_gap_threshold or not view:
             return None
         target = idlest(view)
         if own_load - view[target] < self.load_gap_threshold:

@@ -22,6 +22,7 @@ The scheduler reports makespan, migration count, and total frozen time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..config import SimulationConfig
 from ..errors import ConfigurationError
@@ -138,16 +139,23 @@ class ClusterScheduler:
         self.migrations = 0
         self.total_frozen_time = 0.0
         #: Optional decision hook ``f(decision, view)`` fired on every
-        #: placement decision with the gossip-view snapshot that justified
-        #: it (``None`` for omniscient central rounds).  Pure observer —
-        #: journey traces subscribe here; the hook must not mutate state.
+        #: placement decision with the gossip view that justified it
+        #: (``None`` for omniscient central rounds; the view may be live,
+        #: so copy it to keep it).  Pure observer — journey traces
+        #: subscribe here; the hook must not mutate state.
         self.on_decision = None
         #: Every placement decision in the order it was taken.
         self.decisions: list[MigrationDecision] = []
         self._pending_freeze: dict[str, float] = {}
+        #: Live tasks per node, kept as things happen: +1 when a task
+        #: arrives, -1 when it finishes, moved by every migration.  Tasks
+        #: arriving at t=0 never wait, so they count from the start.
+        self._counts: dict[str, int] = {name: 0 for name in cluster.nodes}
         for task in tasks:
             if task.node not in cluster.nodes:
                 raise ConfigurationError(f"task {task.name!r} on unknown node {task.node!r}")
+            if task.arrival_s <= 0.0:
+                self._counts[task.node] += 1
 
     # ------------------------------------------------------------------
     # cost model
@@ -170,17 +178,18 @@ class ClusterScheduler:
         )
 
     # ------------------------------------------------------------------
+    def load(self, node: str) -> int:
+        """Live tasks on ``node`` right now."""
+        return self._counts[node]
+
     def _loads(self) -> dict[str, int]:
-        loads = {name: 0 for name in self.cluster.nodes}
-        now = self.sim.now
-        for task in self.tasks:
-            if task.finished_at is None and task.arrival_s <= now:
-                loads[task.node] += 1
-        return loads
+        """Snapshot of every node's live-task count."""
+        return dict(self._counts)
 
     def _task_process(self, task: Task):
         if task.arrival_s > 0.0:
             yield Timeout(task.arrival_s)
+            self._counts[task.node] += 1
         while task.remaining > 0:
             # Serve a pending migration freeze before computing further.
             freeze = self._pending_freeze.pop(task.name, 0.0)
@@ -195,8 +204,9 @@ class ClusterScheduler:
             node.cpu.release()
             task.remaining -= work
         task.finished_at = self.sim.now
+        self._counts[task.node] -= 1
 
-    def _migrate(self, task: Task, dest: str, view: dict | None = None) -> None:
+    def _migrate(self, task: Task, dest: str, view: Mapping | None = None) -> None:
         freeze = self.migration_freeze(task)
         decision = MigrationDecision(
             time=self.sim.now, task=task.name, src=task.node, dst=dest
@@ -204,6 +214,8 @@ class ClusterScheduler:
         self.decisions.append(decision)
         if self.on_decision is not None:
             self.on_decision(decision, view)
+        self._counts[task.node] -= 1
+        self._counts[dest] += 1
         task.node = dest
         task.migrations += 1
         task.frozen_time += freeze
@@ -274,7 +286,8 @@ class ClusterScheduler:
             view = self.gossip.view(node)
             if hasattr(self.gossip, "suspects"):
                 suspected = self.gossip.suspects(node)
-                view = {n: load for n, load in view.items() if n not in suspected}
+                if suspected:
+                    view = {n: load for n, load in view.items() if n not in suspected}
             if not view:
                 continue
             target = policy.select_target(node, loads[node], view)
@@ -451,7 +464,7 @@ class SchedulerDriver:
             own_gossip = GossipLoadMap(
                 sim,
                 cluster,
-                load_of=lambda name: scheduler._loads()[name],
+                load_of=lambda name: scheduler.load(name),
                 interval=self.gossip_interval_s,
                 seed=self.config.seed,
                 node_plan=node_plan,

@@ -1,7 +1,8 @@
 """ScenarioRuntime: executes a declarative :class:`ScenarioSpec`.
 
-One runtime owns the simulator, the cluster (nodes + full-mesh network
-with per-link overrides), the shared fault plan, and every migrant
+One runtime owns the simulator, the cluster (nodes + a network that is a
+full mesh, each link built on first use, with per-link overrides), the
+shared fault plan, and every migrant
 process.  Each migrant walks its :class:`MigrantSpec.path`:
 
 * the first hop is a normal migration (``strategy.perform``);

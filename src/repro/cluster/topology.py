@@ -70,7 +70,8 @@ def resolve_strategy(strategy) -> "MigrationStrategy":
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Override for one link of a :class:`NodeGraph` full mesh.
+    """Override for one link of a :class:`NodeGraph` full mesh (each link
+    built on first use).
 
     ``network`` replaces the shared :class:`NetworkSpec` for this link;
     ``shaped_bandwidth_bps``/``shaped_latency_s`` apply tc-style traffic
@@ -103,8 +104,8 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class NodeGraph:
-    """Named nodes fully meshed by the config's default link, with
-    per-link :class:`LinkSpec` overrides."""
+    """Named nodes in a full mesh of the config's default link, each link
+    built on first use, with per-link :class:`LinkSpec` overrides."""
 
     nodes: tuple[str, ...]
     links: tuple[LinkSpec, ...] = ()
@@ -516,9 +517,10 @@ def _preset_cluster(
     scale: float,
     seed: int,
 ) -> ScenarioSpec:
-    """Shared shape of the fleet presets: ``n_nodes`` fully meshed, the
-    first ``n_hot`` nodes receiving most of the arrivals (the load skew
-    that gives decentralized balancing something to spread out)."""
+    """Shared shape of the fleet presets: ``n_nodes`` in a full mesh, each
+    link built on first use, the first ``n_hot`` nodes receiving most of
+    the arrivals (the load skew that gives decentralized balancing
+    something to spread out)."""
     nodes = _cluster_nodes(n_nodes)
     # Memory palette scales with the run (64 KiB floor keeps the remote
     # paging phase non-trivial even at tiny scales).

@@ -370,7 +370,8 @@ class BatchedWindowEngine:
         counts = self._stride_count_grid(win, dmin)
         score = self._locality(counts, l)
 
-        # r = l / (T_l - T_1) with the scalar short-window fallback.
+        # r = l / (T_l - T_1) with the scalar short-window fallback, which
+        # also covers a subnormal span whose quotient overflows to inf.
         length = self.length
         base = self._base[rows]
         nxt = self._next[rows]
@@ -379,7 +380,10 @@ class BatchedWindowEngine:
         t_last = self._times[rows, np.where(has, (nxt - 1) % length, 0)]
         span = t_last - t_first
         pos = (l >= 2) & (span > 0.0)
-        rate = np.where(pos, l / np.where(pos, span, 1.0), 1.0 / fallback_interval)
+        with np.errstate(over="ignore"):
+            quot = l / np.where(pos, span, 1.0)
+        pos &= quot < np.inf
+        rate = np.where(pos, quot, 1.0 / fallback_interval)
 
         td = page_size / bw
         horizon = rtt_s + td + 1.0 / rate

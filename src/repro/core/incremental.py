@@ -35,6 +35,7 @@ same clamps — so runs are bit-identical, which the golden traces and the
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 
@@ -160,7 +161,9 @@ class IncrementalWindow:
         if len(times) >= 2:
             span = times[-1] - times[0]
             if span > 0.0:
-                return len(times) / span
+                rate = len(times) / span
+                if rate < math.inf:
+                    return rate
         return 1.0 / fallback_interval
 
     def mean_cpu(self) -> float:

@@ -18,6 +18,7 @@ two to each other under arbitrary push/evict sequences.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from ..errors import ConfigurationError
@@ -87,13 +88,16 @@ class LookbackWindow:
     def paging_rate(self, fallback_interval: float) -> float:
         """``r = l / (T_l - T_1)``, the average paging rate over the window.
 
-        Before the window spans a positive time interval the rate is
+        Before the window spans a time interval long enough to give a
+        finite rate (a subnormal span overflows ``l / span``) the rate is
         estimated as one fault per ``fallback_interval``.
         """
         if len(self._times) >= 2:
             span = self._times[-1] - self._times[0]
             if span > 0.0:
-                return len(self._times) / span
+                rate = len(self._times) / span
+                if rate < math.inf:
+                    return rate
         return 1.0 / fallback_interval
 
     def mean_cpu(self) -> float:

@@ -1,8 +1,8 @@
 """Wall-clock throughput benchmark harness (``repro bench``).
 
-Mirrors the four cases of ``benchmarks/bench_simulator_throughput.py`` —
-the simulation engine's hot paths — but measures them with plain
-``time.perf_counter`` so the harness runs anywhere (CI smoke jobs, dev
+Times every case of :data:`CASES`; the first four mirror
+``benchmarks/bench_simulator_throughput.py`` — the simulation engine's hot
+paths — but are measured with plain ``time.perf_counter`` so the harness runs anywhere (CI smoke jobs, dev
 boxes without pytest-benchmark) and emits a machine-readable JSON record.
 
 Each case reports its best-of-N wall time plus a *score*: the wall time

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from ..config import NetworkSpec
 from ..errors import NetworkError
@@ -17,12 +17,22 @@ class Network:
     The experiments of the paper only need the origin<->destination pair
     (plus a file server for the FFA baseline), but the registry supports an
     arbitrary topology for the cluster/scheduler layer.
+
+    Links are either connected explicitly (:meth:`connect`) or declared
+    as a full mesh (:meth:`mesh`), each link built on first use: a
+    300-node cluster whose traffic touches a few thousand of its 44,850
+    pairs never builds the rest.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._nodes: set[str] = set()
         self._links: dict[tuple[str, str], Link] = {}
+        #: Meshed node -> its position in the mesh's node order; a lazily
+        #: built link takes its endpoint order from it.
+        self._mesh_rank: dict[str, int] = {}
+        self._mesh_spec: NetworkSpec | None = None
+        self._mesh_overrides: Mapping[tuple[str, str], NetworkSpec] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -45,12 +55,38 @@ class Network:
         self._links[key] = link
         return link
 
+    def mesh(
+        self,
+        names: Sequence[str],
+        spec: NetworkSpec,
+        overrides: Mapping[tuple[str, str], NetworkSpec] | None = None,
+    ) -> None:
+        """Declare a full mesh over ``names``, each link built on first use.
+
+        A pair's link uses ``spec`` unless ``overrides`` names the pair, in
+        either endpoint order.  The link's endpoints keep the order of
+        ``names``, so a lazily built link is the one an eager loop over
+        the pairs would have built.
+        """
+        self._nodes.update(names)
+        self._mesh_rank = {name: i for i, name in enumerate(names)}
+        self._mesh_spec = spec
+        self._mesh_overrides = dict(overrides) if overrides else {}
+
     def link_between(self, a: str, b: str) -> Link:
         key = (a, b) if a < b else (b, a)
         try:
             return self._links[key]
         except KeyError:
-            raise NetworkError(f"no link between {a!r} and {b!r}")
+            pass
+        rank = self._mesh_rank
+        if a != b and a in rank and b in rank:
+            if rank[a] > rank[b]:
+                a, b = b, a
+            overrides = self._mesh_overrides
+            spec = overrides.get((a, b)) or overrides.get((b, a)) or self._mesh_spec
+            return self.connect(a, b, spec)
+        raise NetworkError(f"no link between {a!r} and {b!r}")
 
     def direction(self, src: str, dst: str) -> Direction:
         """The one-way channel for ``src`` -> ``dst`` traffic."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -10,6 +11,7 @@ from repro.cluster.scheduler import ClusterScheduler, Task
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.sim import Simulator
+from repro.sim.rng import child_rng
 from repro.units import mib
 
 
@@ -155,3 +157,33 @@ class TestGossipBalancing:
         )
         unbalanced = sched.run()
         assert with_gossip.makespan < unbalanced.makespan
+
+
+class TestTargetDraw:
+    @staticmethod
+    def legacy_target(rng, names, sender):
+        """The original draw: rebuild the peer list, index into it."""
+        peers = [n for n in names if n != sender]
+        return peers[int(rng.integers(0, len(peers)))]
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 7, 32, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_index_draw_matches_list_draw(self, n_nodes, seed):
+        sim, _, gossip, _ = make_map(n_nodes=n_nodes, seed=seed)
+        legacy_rng = child_rng(seed, "gossip")
+        names = sorted(gossip.views)
+        senders = np.random.default_rng(seed).integers(0, n_nodes, size=400)
+        for i in senders:
+            sender = names[int(i)]
+            expected = self.legacy_target(legacy_rng, names, sender)
+            assert gossip._pick_target(sender) == expected
+
+    def test_view_is_live_and_read_only(self):
+        sim, _, gossip, _ = make_map(interval=0.5)
+        view = gossip.view("n0")
+        assert len(view) == 0
+        sim.run(until=30.0)
+        assert dict(view) == {"n1": 1, "n2": 2, "n3": 3}
+        assert list(view) == list(gossip.views["n0"])
+        with pytest.raises(TypeError):
+            view["n1"] = 5  # type: ignore[index]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.chaos import chaos_cell, run_chaos
+from repro.cluster.chaos import ChaosReport, chaos_cell, run_chaos
 from repro.cluster.cluster import Cluster
 from repro.cluster.gossip import GossipLoadMap
 from repro.cluster.session import ScenarioRuntime
@@ -339,3 +339,30 @@ def test_chaos_mini_sweep_holds_invariants():
     assert not report.violations
     counts = report.counts()
     assert sum(counts.values()) == 2
+
+
+def test_chaos_skips_unsupported_pairs_before_running():
+    report = run_chaos(
+        presets=("pair", "three-hop-lossy"), schemes=("FFA",), seeds=(0,),
+        crash_rate_hz=0.5,
+    )
+    assert report.ok
+    assert [(r.preset, r.scheme) for r in report.runs] == [("pair", "FFA")]
+    assert report.unsupported == [
+        {
+            "preset": "three-hop-lossy",
+            "scheme": "FFA",
+            "reason": report.unsupported[0]["reason"],
+        }
+    ]
+    assert "deputy-backed" in report.unsupported[0]["reason"]
+    text = report.to_text()
+    assert "1 unsupported preset/scheme pairs" in text.splitlines()[0]
+    assert "three-hop-lossy FFA        unsupported" in text
+
+
+def test_chaos_default_sweep_has_no_unsupported_pairs():
+    from repro.cluster.chaos import DEFAULT_PRESETS, DEFAULT_SCHEMES, unsupported_pairs
+
+    assert unsupported_pairs(DEFAULT_PRESETS, DEFAULT_SCHEMES) == []
+    assert "unsupported" not in ChaosReport().to_text()

@@ -14,6 +14,8 @@ concurrently).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.gossip import GossipLoadMap
@@ -86,6 +88,28 @@ class TestThreshold:
         policy = ThresholdPolicy(load_gap_threshold=2)
         assert policy.select_target("n1", 2, {"n2": 1}) is None
         assert policy.select_target("n1", 99, {}) is None
+
+    @given(
+        threshold=st.integers(min_value=1, max_value=6),
+        own_load=st.integers(min_value=0, max_value=12),
+        view=st.dictionaries(
+            st.sampled_from([f"n{i}" for i in range(2, 10)]),
+            st.integers(min_value=0, max_value=12),
+            max_size=8,
+        ),
+    )
+    def test_early_exit_matches_full_idlest_path(self, threshold, own_load, view):
+        """Skipping the idlest() scan below the gap never changes the
+        decision: loads are non-negative, so the gap cannot be met."""
+
+        def full_path():
+            if not view:
+                return None
+            target = idlest(view)
+            return None if own_load - view[target] < threshold else target
+
+        policy = ThresholdPolicy(load_gap_threshold=threshold)
+        assert policy.select_target("n1", own_load, view) == full_path()
 
 
 class TestBalanced:

@@ -85,3 +85,48 @@ def test_task_on_unknown_node():
             [Task(name="t", cpu_seconds=1, memory_bytes=1, node="mars")],
             config,
         )
+
+
+def _rescan(sched):
+    """Live tasks per node, counted the slow way from the task list."""
+    loads = {name: 0 for name in sched.cluster.nodes}
+    now = sched.sim.now
+    for task in sched.tasks:
+        if task.finished_at is None and task.arrival_s <= now:
+            loads[task.node] += 1
+    return loads
+
+
+def test_load_counts_match_rescan_at_every_balancer_round():
+    from repro.cluster.sustained import SustainedLoadDriver
+    from repro.cluster.topology import build_preset
+
+    rounds = []
+
+    class CheckedDriver(SustainedLoadDriver):
+        def _spawn_monitors(self, sim, scheduler):
+            super()._spawn_monitors(sim, scheduler)
+            balance = scheduler._gossip_round
+
+            def checked_round():
+                rounds.append(sim.now)
+                assert scheduler._loads() == _rescan(scheduler), sim.now
+                balance()
+                assert scheduler._loads() == _rescan(scheduler), sim.now
+
+            scheduler._gossip_round = checked_round
+
+    spec = build_preset("cluster_32", seed=7)
+    driver = CheckedDriver(spec.graph, spec.sustained, config=spec.config)
+    report, decisions = driver.plan()
+    assert len(rounds) > 10 and decisions
+    assert report.migrations == len(decisions)
+
+
+def test_load_counts_follow_arrival_migration_and_finish():
+    sched = make_scheduler(n_tasks=4, balance_interval=0.5)
+    assert sched._loads() == {"n1": 4, "n2": 0}
+    assert sched.load("n1") == 4
+    sched.run()
+    assert sched.migrations > 0
+    assert sched._loads() == {"n1": 0, "n2": 0}

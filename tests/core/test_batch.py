@@ -202,3 +202,26 @@ class TestRecordManyEdges:
             engine.new_row()
         assert engine.rows == 8
         assert engine.row_pages(first) == (3,)
+
+    def test_subnormal_span_uses_fallback_rate(self):
+        # Two faults a subnormal interval apart: l / span overflows, so the
+        # rate falls back exactly as the scalar window's does.
+        engine = BatchedWindowEngine(LENGTH, DMAX)
+        row = engine.new_row()
+        idx = np.array([row], dtype=np.int64)
+        shadow = IncrementalWindow(LENGTH, DMAX)
+        for vpn, t, cpu in ((1, 0.0, 1.0), (0, 1.1125369292536007e-308, 0.0)):
+            engine.record_many(idx, (vpn,), (t,), (cpu,))
+            shadow.record(vpn, t, cpu)
+        res = engine.analyze_many(
+            idx,
+            fallback_interval=FALLBACK,
+            rtt_s=(0.0,),
+            available_bw_bps=(1e6,),
+            page_size=PAGE_SIZE,
+            max_pages=8,
+            min_pages=0,
+        )
+        assert float(res.rate[0]) == shadow.paging_rate(FALLBACK) == 1.0 / FALLBACK
+        want = scalar_analysis(shadow, 0.0, 1e6, 8, 0)
+        assert int(res.n[0]) == want["n"]

@@ -71,6 +71,14 @@ def test_paging_rate_zero_span_uses_fallback():
     assert w.paging_rate(fallback_interval=0.001) == pytest.approx(1000.0)
 
 
+def test_paging_rate_subnormal_span_uses_fallback():
+    # l / span overflows to inf for a subnormal span; treat it as zero.
+    w = LookbackWindow(10)
+    w.record(1, 0.0, 1.0)
+    w.record(0, 1.1125369292536007e-308, 0.0)
+    assert w.paging_rate(fallback_interval=0.001) == pytest.approx(1000.0)
+
+
 def test_cpu_statistics():
     w = LookbackWindow(10)
     w.record(1, 0.0, 0.2)

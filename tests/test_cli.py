@@ -405,3 +405,30 @@ def test_cluster_run_spec_rejects_preset_options(tmp_path, capsys):
     rc = main(["cluster", "run", "--spec", str(spec), "--scheme", "FFA"])
     assert rc == 2
     assert "--preset runs only" in capsys.readouterr().out
+
+
+def test_bench_help_lists_every_case(capsys):
+    from repro.experiments.bench import CASES
+
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"Time the {len(CASES)} simulator benchmark cases" in out
+    for name in CASES:
+        assert name in out
+
+
+def test_chaos_reports_unsupported_pair_instead_of_crashing(capsys):
+    import json
+
+    rc = main(
+        ["chaos", "--presets", "three-hop-lossy", "--schemes", "FFA", "--seeds", "0",
+         "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["runs"] == []
+    assert [(u["preset"], u["scheme"]) for u in payload["unsupported"]] == [
+        ("three-hop-lossy", "FFA")
+    ]
+    assert "FFA" in payload["unsupported"][0]["reason"]
