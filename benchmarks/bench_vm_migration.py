@@ -57,8 +57,8 @@ def _run(variant: str):
     elif variant == "AMPoM (eq.3 only)":
         strategy, config = AmpomMigration(), _config(0)
     elif variant == "VM-AMPoM (eq.3 only)":
-        # Boundaries only the workload knows: register a closure under a
-        # registry name instead of the deprecated policy_factory hook.
+        # Boundaries only the workload knows: register a closure over
+        # them under a policy-registry name.
         POLICIES["vm-ampom"] = lambda ctx, w=workload: VmAmpomPrefetcher(
             ctx.ampom, ctx.hardware, w.process_boundaries()
         )

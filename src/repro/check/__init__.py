@@ -15,7 +15,8 @@ enabled is bit-identical to the same run with checks off):
 * :class:`DifferentialOracle` — a brute-force reference implementation of
   the AMPoM equations (eq. 1 ``S``, eq. 2/3 ``N``, outstanding-stream
   pivot selection with saved quota) cross-checked against
-  :mod:`repro.core` on every dependent-zone analysis.
+  :mod:`repro.core` on every dependent-zone analysis; :class:`RefWindow`
+  is the matching reference for the lookback window's recording rules.
 * The golden-trace harness (:mod:`repro.check.golden`) — records a
   deterministic JSONL event log for a fixed scenario matrix and diffs it
   structurally (``repro check record`` / ``repro check diff``), so
@@ -28,9 +29,10 @@ from .golden import SCENARIOS, GoldenScenario, diff_scenarios, record_scenarios
 from .invariants import CheckEvent, InvariantChecker
 from .oracle import (
     DifferentialOracle,
+    RefWindow,
+    ref_locality_score,
     ref_outstanding_streams,
     ref_select_dependent_pages,
-    ref_spatial_locality_score,
     ref_stride_counts,
     ref_zone_size,
 )
@@ -40,12 +42,13 @@ __all__ = [
     "DifferentialOracle",
     "GoldenScenario",
     "InvariantChecker",
+    "RefWindow",
     "SCENARIOS",
     "diff_scenarios",
     "record_scenarios",
+    "ref_locality_score",
     "ref_outstanding_streams",
     "ref_select_dependent_pages",
-    "ref_spatial_locality_score",
     "ref_stride_counts",
     "ref_zone_size",
 ]

@@ -9,6 +9,10 @@ raises :class:`repro.errors.InvariantViolation` on any disagreement.
 
 Reference semantics (paper sections 3.1-3.4):
 
+* the lookback window (:class:`RefWindow`): the last ``l`` faults with
+  their times ``T`` and CPU shares ``C``; a consecutive repeat of the
+  newest page is not recorded, and ``r = l / (T_l - T_1)``,
+  ``c = sum(C_i) / l``, ``c' = C_l``;
 * eq. 1: ``S = sum_{d=1}^{dmax} stride_d / (l * d)``, clamped to [0, 1],
   where ``stride_d`` counts the distinct pages participating in stride-d
   pairs, a pair's stride being the minimum absolute window distance
@@ -23,11 +27,68 @@ Reference semantics (paper sections 3.1-3.4):
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Sequence
 
-from ..errors import InvariantViolation
+from ..errors import ConfigurationError, InvariantViolation
 
 _EPS = 1e-9
+
+
+class RefWindow:
+    """The lookback window ``W``/``T``/``C`` as three bounded deques.
+
+    The reference for :class:`repro.core.incremental.IncrementalWindow`'s
+    recording surface; its float quantities use the same operation order,
+    so the two agree exactly, not approximately.
+    """
+
+    def __init__(self, length: int) -> None:
+        if length < 2:
+            raise ConfigurationError(f"window length must be >= 2, got {length}")
+        self.length = length
+        self.pages: deque[int] = deque(maxlen=length)
+        self.times: deque[float] = deque(maxlen=length)
+        self.cpus: deque[float] = deque(maxlen=length)
+        #: Times the oldest entry was evicted.
+        self.wraps = 0
+
+    def record(self, vpn: int, time: float, cpu: float) -> bool:
+        """Append a fault; ``False`` for a consecutive repeat (not recorded)."""
+        if self.pages and self.pages[-1] == vpn:
+            return False
+        if self.times and time < self.times[-1]:
+            raise ConfigurationError(
+                f"fault times must be non-decreasing ({time} < {self.times[-1]})"
+            )
+        if len(self.pages) == self.length:
+            self.wraps += 1
+        self.pages.append(vpn)
+        self.times.append(time)
+        self.cpus.append(min(max(cpu, 0.0), 1.0))
+        return True
+
+    def paging_rate(self, fallback_interval: float) -> float:
+        """``r = l / (T_l - T_1)``; one fault per ``fallback_interval``
+        until the span gives a finite rate."""
+        if len(self.times) >= 2:
+            span = self.times[-1] - self.times[0]
+            if span > 0.0:
+                rate = len(self.times) / span
+                if rate < math.inf:
+                    return rate
+        return 1.0 / fallback_interval
+
+    def mean_cpu(self) -> float:
+        """``c = sum(C_i) / l`` (1.0 for an empty window)."""
+        if not self.cpus:
+            return 1.0
+        return sum(self.cpus) / len(self.cpus)
+
+    def last_cpu(self) -> float:
+        """``c' = C_l`` (1.0 for an empty window)."""
+        return self.cpus[-1] if self.cpus else 1.0
 
 
 def ref_stride_counts(pages: Sequence[int], dmax: int) -> dict[int, int]:
@@ -47,7 +108,7 @@ def ref_stride_counts(pages: Sequence[int], dmax: int) -> dict[int, int]:
     return {d: len(s) for d, s in participants.items()}
 
 
-def ref_spatial_locality_score(pages: Sequence[int], dmax: int) -> float:
+def ref_locality_score(pages: Sequence[int], dmax: int) -> float:
     """Eq. 1, computed from :func:`ref_stride_counts`."""
     length = len(pages)
     if length == 0:
@@ -153,11 +214,11 @@ class DifferentialOracle:
         """Verify one dependent-zone analysis against the references.
 
         ``streams`` are the production
-        :class:`repro.core.stride.OutstandingStream` objects and
+        :class:`repro.core.incremental.OutstandingStream` objects and
         ``dependent`` the production page selection (before residency
         filtering, which is the executor's concern, not the equations').
         """
-        ref_score = ref_spatial_locality_score(pages, dmax)
+        ref_score = ref_locality_score(pages, dmax)
         if abs(ref_score - score) > _EPS:
             self._mismatch(
                 "eq1-score",

@@ -97,17 +97,6 @@ class ScenarioRuntime:
         self._infods: dict[tuple[str, str], InfoDaemon] = {}
         self._executed = False
 
-        #: Shared batched-analysis engine pool (config.batch.enabled /
-        #: REPRO_BATCH=1): all AMPoM migrants of this run keep their
-        #: window state as rows of the same arrays.  Bit-identical to the
-        #: scalar per-migrant path, so flipping the flag changes nothing
-        #: observable (gated by the golden matrix).
-        self.batch_pool = None
-        if self.config.batch.enabled:
-            from ..core.batch import BatchedAnalysisPool
-
-            self.batch_pool = BatchedAnalysisPool()
-
         # Fault injection: when the spec can perturb anything, wrap every
         # link a migrant's paging traffic crosses in lossy directions
         # driven by one seeded plan.  Random injection is armed only once
@@ -434,7 +423,6 @@ class ScenarioRuntime:
             fault_plan=self.fault_plan,
             home=migrant.path[0],
             path=migrant.path,
-            batch_pool=self.batch_pool,
             prefetch_policy=(
                 migrant.prefetch_policy
                 if migrant.prefetch_policy is not None

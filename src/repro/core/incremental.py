@@ -1,10 +1,35 @@
-"""Incremental sliding-window AMPoM analysis (the per-fault hot path).
+"""The lookback window and its incremental AMPoM analysis (the per-fault
+hot path).
+
+Paper section 3.1: the lookback window ``W`` records the addresses of the
+pages accessed in the last ``l`` page faults; ``T`` holds each entry's
+access time and ``C`` the CPU utilization of the process when the entry
+was recorded.  When the window is full the oldest entry is discarded.
+Consecutive repeated references to the same page are a form of temporal
+locality and are counted as a single reference (``r_p != r_{p+1}``), so a
+repeat of the newest entry is not recorded.
+
+Stride definitions (sections 3.1 and 3.4):
+
+* The *stride* of a page reference ``r_p`` is the minimum absolute distance
+  ``d`` in ``W`` between the references to page ``r_p`` and page
+  ``r_p + 1``.  ``stride_d`` is the number of distinct pages in ``W``
+  participating in stride-``d`` references: for ``{1,99,2,45,3,78,4}`` the
+  stride-2 references are ``{1,99,2}``, ``{2,45,3}``, ``{3,78,4}`` and
+  ``stride_2 = 4`` (pages 1, 2, 3, 4).
+* The spatial locality score (eq. 1) is
+  ``S = sum_{d=1}^{dmax} stride_d / (l * d)``, clamped to ``[0, 1]``, with
+  ``l`` the number of references currently in the window.
+* An *outstanding* stride-``d`` stream is a **forward** pair whose endpoint
+  lies within ``d`` of the window's end (1-based: ``p + d > l - d``); its
+  *prefetch pivot* is the page after the stream's endpoint,
+  ``r_{p+d} + 1``.  The score uses minimum **absolute** distance, so a
+  descending sweep still registers spatial locality; streams are forward
+  only, because a pivot extrapolates forward progress.
 
 The paper runs the dependent-zone analysis on *every* page fault, so its
-cost is the algorithmic overhead figure 11 measures.  The naive
-implementations in :mod:`repro.core.stride` / :mod:`repro.core.locality`
-rebuild the page-position index and rescan the whole window on each fault
-— O(l·dmax) work per analysis.  :class:`IncrementalWindow` maintains the
+cost is the algorithmic overhead figure 11 measures.  A full-window scan
+costs O(l·dmax) per analysis; :class:`IncrementalWindow` maintains the
 same quantities as persistent state updated in O(dmax) amortized work per
 window push/evict:
 
@@ -28,8 +53,10 @@ forces ``q >= l - dmax``), so it reads the index instead of scanning.
 
 Float discipline: every derived quantity (:meth:`locality_score`,
 :meth:`paging_rate`, :meth:`mean_cpu`) performs the *identical sequence of
-floating-point operations* as the naive reference — same summation order,
-same clamps — so runs are bit-identical, which the golden traces and the
+floating-point operations* as the brute-force references in
+:mod:`repro.check.oracle` (``ref_locality_score`` and
+``RefWindow``) — same summation order, same clamps — so runs are
+bit-identical, which the golden traces and the
 :class:`repro.check.DifferentialOracle` both verify.
 """
 
@@ -38,19 +65,29 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .stride import OutstandingStream
+
+
+@dataclass(frozen=True, slots=True)
+class OutstandingStream:
+    """A stride-``d`` stream still active at the window's end."""
+
+    stride: int
+    #: Window position (0-based) of the stream's endpoint ``r_{p+d}``.
+    end_index: int
+    #: The page to start prefetching from: ``r_{p+d} + 1``.
+    pivot: int
 
 
 class IncrementalWindow:
     """Lookback window ``W``/``T``/``C`` with incremental stride state.
 
-    Drop-in superset of :class:`repro.core.window.LookbackWindow`: the
-    recording API and the section-3.3 derived quantities are identical;
-    on top of those it answers :meth:`stride_counts`,
-    :meth:`locality_score` and :meth:`outstanding_streams` from
-    incrementally maintained state instead of per-call rebuilds.
+    Besides recording faults and the section-3.3 derived quantities it
+    answers :meth:`stride_counts`, :meth:`locality_score` and
+    :meth:`outstanding_streams` from incrementally maintained state
+    instead of per-call rescans.
     """
 
     __slots__ = (
@@ -94,7 +131,7 @@ class IncrementalWindow:
         self._pages_cache: tuple[int, ...] | None = ()
 
     # ------------------------------------------------------------------
-    # LookbackWindow-compatible surface
+    # the recording surface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._next - self._base
@@ -152,11 +189,16 @@ class IncrementalWindow:
         return True
 
     # ------------------------------------------------------------------
-    # derived quantities of section 3.3 (identical float ops to the naive
-    # LookbackWindow implementations)
+    # derived quantities of section 3.3 (identical float ops to the
+    # oracle's reference window)
     # ------------------------------------------------------------------
     def paging_rate(self, fallback_interval: float) -> float:
-        """``r = l / (T_l - T_1)``, the average paging rate over the window."""
+        """``r = l / (T_l - T_1)``, the average paging rate over the window.
+
+        Before the window spans a time interval long enough to give a
+        finite rate (a subnormal span overflows ``l / span``) the rate is
+        estimated as one fault per ``fallback_interval``.
+        """
         times = self._times
         if len(times) >= 2:
             span = times[-1] - times[0]
@@ -170,7 +212,7 @@ class IncrementalWindow:
         """``c = sum(C_i) / l`` — average CPU share over the window.
 
         Summed oldest-to-newest over the deque — the same operation order
-        as the naive window, so the result is bit-identical.
+        as the oracle's reference window, so the result is bit-identical.
         """
         cpus = self._cpus
         if not cpus:
@@ -303,7 +345,7 @@ class IncrementalWindow:
     def locality_score(self) -> float:
         """Eq. 1: ``S = sum_d stride_d / (l * d)``, clamped to [0, 1].
 
-        Accumulated in ascending ``d`` — the same order as the naive
+        Accumulated in ascending ``d`` — the same order as the oracle's
         ``sum()`` over the counts dict — for bit-identical results.
         """
         l = self._next - self._base
@@ -311,7 +353,7 @@ class IncrementalWindow:
             return 0.0
         contrib = self._contrib
         # Explicit loop: same left-to-right accumulation as ``sum()`` over
-        # the naive counts (0.0 + a + b + ...), without the generator.
+        # the reference counts (0.0 + a + b + ...), without the generator.
         score = 0.0
         for d in range(1, self.dmax + 1):
             score += len(contrib[d]) / (l * d)
@@ -320,9 +362,13 @@ class IncrementalWindow:
     def outstanding_streams(self) -> list[OutstandingStream]:
         """Section 3.4's outstanding stride streams, newest-``dmax`` scan.
 
-        Matches :func:`repro.core.stride.find_outstanding_streams` on the
-        current window exactly, including the per-pivot keep-latest rule
-        and the (end_index, stride) output order.
+        A forward pair ``(p, q)`` with ``pages[q] == pages[p] + 1`` at the
+        minimum forward distance ``d = q - p <= dmax`` is outstanding when
+        its endpoint is within ``d`` positions of the window end (0-based:
+        ``q >= len - d``).  Streams sharing a pivot are reported once (the
+        one ending latest), ordered by (end_index, stride) — exactly what
+        :func:`repro.check.oracle.ref_outstanding_streams` computes by
+        exhaustive scan.
         """
         base, nxt = self._base, self._next
         n = nxt - base
@@ -350,7 +396,7 @@ class IncrementalWindow:
             q_idx = q - base
             # Valid starts p satisfy: prev_u < p < q, stride d = q - p
             # within dmax, and the outstanding condition q_idx >= n - d,
-            # i.e. p <= q - (n - q_idx).  The naive scan visits starts in
+            # i.e. p <= q - (n - q_idx).  A full scan visits starts in
             # ascending p and only ever *keeps* the first one per endpoint
             # (later starts have strictly smaller strides and the same
             # end_index, which never displaces the kept stream).
@@ -375,8 +421,8 @@ class IncrementalWindow:
             pivot, (e, d) = next(iter(by_pivot.items()))
             return [OutstandingStream(stride=d, end_index=e, pivot=pivot)]
         # end_index values are distinct (one candidate per endpoint q), so
-        # sorting the (end_index, stride, pivot) tuples matches the naive
-        # (end_index, stride) key order exactly.
+        # sorting the (end_index, stride, pivot) tuples matches the
+        # reference (end_index, stride) key order exactly.
         return [
             OutstandingStream(stride=d, end_index=e, pivot=pivot)
             for e, d, pivot in sorted(
@@ -385,4 +431,4 @@ class IncrementalWindow:
         ]
 
 
-__all__ = ["IncrementalWindow"]
+__all__ = ["IncrementalWindow", "OutstandingStream"]

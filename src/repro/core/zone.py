@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .stride import OutstandingStream, find_outstanding_streams
+from .incremental import OutstandingStream
 
 
 def prefetch_horizon(rtt: float, page_transfer_time: float, paging_interval: float) -> float:
@@ -95,26 +95,3 @@ def select_from_streams(
             vpn += 1
     return selected
 
-
-def select_dependent_pages(
-    window_pages: Sequence[int],
-    n: int,
-    dmax: int,
-    address_limit: int,
-    streams: list[OutstandingStream] | None = None,
-) -> list[int]:
-    """Identify the ``n`` pages of the dependent zone.
-
-    Returns the dependent pages in selection order.  ``address_limit`` is
-    one past the largest valid vpn; walks are truncated there (quota spent
-    on a truncated stream is not reassigned, matching a real implementation
-    that simply runs out of address space).  ``streams`` may be supplied to
-    avoid recomputing the outstanding-stream analysis.
-    """
-    if n <= 0 or not window_pages:
-        return []
-    if streams is None:
-        streams = find_outstanding_streams(window_pages, dmax)
-    if not streams:
-        return readahead_fallback(window_pages[-1], n, address_limit)
-    return select_from_streams(streams, n, address_limit)

@@ -119,66 +119,12 @@ def _run_ampom_traced(obs=None) -> ExecutionResult:
     return _run_ampom_pipeline(obs=obs if obs is not None else Observability.enabled())
 
 
-def _run_batched_pipeline(obs=None):
-    """Fleet-width batched analysis over ``ampom_pipeline``-class streams.
-
-    300 concurrent migrants each replay the sequential-sweep fault pattern
-    of ``ampom_pipeline``; one :class:`repro.core.batch.
-    BatchedWindowEngine` services every fault round with full-width
-    ``record_many``/``analyze_many`` calls, so the per-fault interpreter
-    constant is paid once per *round*, not once per migrant.  The
-    acceptance comparison is per (migrant, fault): this case performs
-    300 x 340 = 102 000 recorded-and-analyzed faults, so its score divided
-    by 102 000 must be at least 5x below ``ampom_pipeline``'s score divided
-    by that case's ~1 023 faults (see docs/PERFORMANCE.md, "Batching and
-    sharding").
-    """
-    import numpy as np
-
-    from ..config import AMPoMConfig, HardwareSpec
-    from ..core.batch import BatchedWindowEngine
-
-    cfg = AMPoMConfig()
-    hw = HardwareSpec()
-    n_migrants, n_faults = 300, 340
-    engine = BatchedWindowEngine(cfg.lookback_length, cfg.dmax, capacity=n_migrants)
-    rows = np.array([engine.new_row() for _ in range(n_migrants)], dtype=np.int64)
-    # Disjoint sequential sweeps, one page per fault — the access pattern
-    # ampom_pipeline's SequentialWorkload produces.
-    vpns = (
-        np.arange(n_faults, dtype=np.int64)[None, :]
-        + (rows * 100_000)[:, None]
-    )
-    rtt = np.full(n_migrants, 1e-3)
-    bw = np.full(n_migrants, 1e8)
-    cpus = np.full(n_migrants, 0.5)
-    analysis = None
-    for fault in range(n_faults):
-        engine.record_many(
-            rows, vpns[:, fault], np.full(n_migrants, fault * 1e-3), cpus
-        )
-        analysis = engine.analyze_many(
-            rows,
-            fallback_interval=cfg.initial_paging_interval,
-            rtt_s=rtt,
-            available_bw_bps=bw,
-            page_size=hw.page_size,
-            max_pages=cfg.max_zone_pages,
-            min_pages=cfg.min_zone_pages,
-        )
-    # Sequential sweeps are perfectly local: every row must score 1.0.
-    assert analysis is not None and (analysis.score == 1.0).all()
-    return analysis
-
-
 def _run_cluster_300_smoke(obs=None):
     """The ROADMAP's 300-node sustained sweep as a CI smoke case.
 
     The full ``cluster_300`` preset — background trickle on every node
-    plus eight hotspots — must *complete* inside the bench-scale job's
-    time budget; the score then gates regressions like any other case.
-    Run under ``REPRO_BATCH=1 REPRO_CHECKS=1`` in CI so the differential
-    oracle audits the batched analysis on every migration it makes.
+    plus eight hotspots — must *complete* inside the CI bench jobs' time
+    budget; the score then gates regressions like any other case.
     """
     from ..cluster.sustained import run_sustained
     from ..cluster.topology import build_preset
@@ -256,7 +202,6 @@ CASES: dict[str, Callable[[], ExecutionResult]] = {
     "ampom_traced": _run_ampom_traced,
     "cluster_sustained": _run_cluster_sustained,
     "cluster_sustained_telemetry": _run_cluster_sustained_telemetry,
-    "batched_pipeline": _run_batched_pipeline,
     "cluster_300_smoke": _run_cluster_300_smoke,
     "arena": _run_arena,
 }

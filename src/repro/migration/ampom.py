@@ -11,38 +11,18 @@ and prefetches through the origin's deputy.
 
 from __future__ import annotations
 
-import warnings
-
-from ..core.policy import PrefetchPolicy
 from ..mem.page_table import MasterPageTable
 from ..mem.residency import ResidencyTracker
 from .base import MigrationContext, MigrationOutcome, MigrationStrategy
 
 
 class AmpomMigration(MigrationStrategy):
+    """``prefetch_policy`` names a :data:`repro.core.policy.POLICIES`
+    entry to pair AMPoM's lightweight freeze (trio + MPT) with any
+    registered prefetch policy; the default is the adaptive AMPoM
+    analysis itself."""
+
     name = "AMPoM"
-
-    def __init__(self, policy_factory=None, *, prefetch_policy: str | None = None) -> None:
-        """``prefetch_policy`` names a :data:`repro.core.policy.POLICIES`
-        entry to pair AMPoM's lightweight freeze (trio + MPT) with any
-        registered prefetch policy; the default is the adaptive AMPoM
-        analysis itself.
-
-        ``policy_factory(ctx) -> PrefetchPolicy`` is the deprecated
-        pre-registry override hook; it still wins over every named
-        policy so out-of-tree callers keep working, but new code should
-        pass ``prefetch_policy=`` or register a factory in ``POLICIES``.
-        """
-        super().__init__(prefetch_policy=prefetch_policy)
-        if policy_factory is not None:
-            warnings.warn(
-                "AmpomMigration(policy_factory=...) is deprecated; pass "
-                "prefetch_policy=<name> or register the factory in "
-                "repro.core.policy.POLICIES",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.policy_factory = policy_factory
 
     def perform(self, ctx: MigrationContext) -> MigrationOutcome:
         now = ctx.sim.now
@@ -67,11 +47,7 @@ class AmpomMigration(MigrationStrategy):
         residency = ResidencyTracker(
             remote_pages=existing - set(trio), mapped_pages=trio
         )
-        policy: PrefetchPolicy
-        if self.policy_factory is not None:
-            policy = self.policy_factory(ctx)
-        else:
-            policy = self._resolve_policy(ctx, default="ampom")
+        policy = self._resolve_policy(ctx, default="ampom")
         service = self._make_deputy_service(ctx, hpt)
 
         return MigrationOutcome(

@@ -30,7 +30,6 @@ from ..sim import Simulator
 from ..workloads.base import Syscall
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.batch import BatchedAnalysisPool
     from ..faults.plan import FaultPlan
 
 #: Wire bytes per page number in a paging-request message.
@@ -308,10 +307,6 @@ class MigrationContext:
     #: Full migration path when this context belongs to a multi-hop
     #: scenario (informational; strategies only need src/dst/home).
     path: tuple[str, ...] | None = None
-    #: Shared :class:`repro.core.batch.BatchedAnalysisPool` when the run
-    #: has ``config.batch.enabled`` set; AMPoM migrants then allocate
-    #: their window state as a row of the pool's shared arrays.
-    batch_pool: "BatchedAnalysisPool | None" = None
     #: Prefetch-policy name requested by the migrant spec or the
     #: simulation config (``None`` = the strategy's own default).  A name
     #: set directly on the strategy instance wins over this field.

@@ -9,50 +9,69 @@ from hypothesis import strategies as st
 
 from repro.check.oracle import (
     DifferentialOracle,
+    RefWindow,
+    ref_locality_score,
     ref_outstanding_streams,
     ref_select_dependent_pages,
-    ref_spatial_locality_score,
     ref_stride_counts,
     ref_zone_size,
 )
-from repro.core.locality import spatial_locality_score
-from repro.core.stride import find_outstanding_streams, stride_counts
-from repro.core.zone import dependent_zone_size, select_dependent_pages
-from repro.errors import InvariantViolation
+from repro.core.incremental import IncrementalWindow
+from repro.core.zone import dependent_zone_size, readahead_fallback, select_from_streams
+from repro.errors import ConfigurationError, InvariantViolation
 
-windows = st.lists(st.integers(min_value=0, max_value=60), max_size=25)
+#: Fault streams long enough to wrap the window below many times.
+faults = st.lists(st.integers(min_value=0, max_value=60), max_size=40)
 dmaxes = st.integers(min_value=1, max_value=6)
 
 
+def _windows(vpns, dmax, length=10):
+    """Record ``vpns`` one time unit apart into the production window and
+    the reference window; yield both after every record."""
+    inc, ref = IncrementalWindow(length, dmax), RefWindow(length)
+    for i, vpn in enumerate(vpns):
+        assert inc.record(vpn, float(i), 1.0) == ref.record(vpn, float(i), 1.0)
+        yield inc, ref
+
+
+def _select(window, n, limit):
+    """The prefetcher's page selection for an analysed window."""
+    streams = window.outstanding_streams()
+    if streams:
+        return select_from_streams(streams, n, limit)
+    return readahead_fallback(window.last_page, n, limit)
+
+
 class TestReferencesMatchProduction:
-    """The naive O(l²) transcriptions and the indexed implementations are
-    two independent codings of the same paper text; they must agree on
-    every input."""
+    """The naive O(l²) transcriptions and the incremental window are two
+    independent codings of the same paper text; they must agree exactly
+    on every window a fault stream passes through."""
 
-    @given(windows, dmaxes)
-    def test_stride_counts(self, pages, dmax):
-        assert ref_stride_counts(pages, dmax) == stride_counts(pages, dmax)
+    @given(faults, dmaxes)
+    def test_stride_counts(self, vpns, dmax):
+        for inc, ref in _windows(vpns, dmax):
+            assert ref_stride_counts(ref.pages, dmax) == inc.stride_counts()
 
-    @given(windows, dmaxes)
-    def test_spatial_locality_score(self, pages, dmax):
-        assert ref_spatial_locality_score(pages, dmax) == pytest.approx(
-            spatial_locality_score(pages, dmax)
-        )
+    @given(faults, dmaxes)
+    def test_locality_score(self, vpns, dmax):
+        for inc, ref in _windows(vpns, dmax):
+            assert ref_locality_score(ref.pages, dmax) == inc.locality_score()
 
-    @given(windows, dmaxes)
-    def test_outstanding_streams(self, pages, dmax):
-        production = [
-            (s.stride, s.end_index, s.pivot)
-            for s in find_outstanding_streams(pages, dmax)
-        ]
-        assert ref_outstanding_streams(pages, dmax) == production
+    @given(faults, dmaxes)
+    def test_outstanding_streams(self, vpns, dmax):
+        for inc, ref in _windows(vpns, dmax):
+            production = [
+                (s.stride, s.end_index, s.pivot) for s in inc.outstanding_streams()
+            ]
+            assert ref_outstanding_streams(ref.pages, dmax) == production
 
-    @given(windows, st.integers(min_value=0, max_value=40), dmaxes)
-    def test_dependent_page_selection(self, pages, n, dmax):
+    @given(faults, st.integers(min_value=0, max_value=40), dmaxes)
+    def test_dependent_page_selection(self, vpns, n, dmax):
         limit = 1000
-        assert ref_select_dependent_pages(pages, n, dmax, limit) == (
-            select_dependent_pages(pages, n, dmax, limit)
-        )
+        for inc, ref in _windows(vpns, dmax):
+            assert ref_select_dependent_pages(ref.pages, n, dmax, limit) == (
+                _select(inc, n, limit)
+            )
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -69,23 +88,39 @@ class TestReferencesMatchProduction:
 
     def test_paper_worked_example(self):
         pages = [10, 99, 11, 34, 12, 85]
-        assert ref_spatial_locality_score(pages, 4) == pytest.approx(0.25)
+        assert ref_locality_score(pages, 4) == pytest.approx(0.25)
         assert ref_stride_counts(pages, 4) == {1: 0, 2: 3, 3: 0, 4: 0}
+
+    def test_ref_window_recording_rules(self):
+        window = RefWindow(3)
+        assert window.record(7, 0.0, 2.0)
+        assert not window.record(7, 1.0, 1.0)  # consecutive repeat
+        for i, vpn in enumerate((8, 9, 10)):
+            assert window.record(vpn, 1.0 + i, -1.0)
+        assert list(window.pages) == [8, 9, 10]
+        assert window.wraps == 1
+        assert list(window.cpus) == [0.0, 0.0, 0.0]
+        with pytest.raises(ConfigurationError):
+            window.record(11, 0.5, 1.0)
+        with pytest.raises(ConfigurationError):
+            RefWindow(1)
 
 
 class TestVerifyAnalysis:
     def _analysis(self, **overrides):
         """One genuine analysis of a sequential window; overrides inject
         a disagreement for the oracle to catch."""
-        pages = [5, 6, 7, 8]
         dmax = 4
+        window = IncrementalWindow(4, dmax)
+        for i, vpn in enumerate((5, 6, 7, 8)):
+            window.record(vpn, float(i), 1.0)
         rtt, td, rate, cpu_ratio = 0.001, 0.0005, 100.0, 1.0
         horizon = rtt + td + 1.0 / rate
-        score = spatial_locality_score(pages, dmax)
+        score = window.locality_score()
         n = dependent_zone_size(score, rate, horizon, cpu_ratio=cpu_ratio, max_pages=64)
-        streams = find_outstanding_streams(pages, dmax)
+        streams = window.outstanding_streams()
         kwargs = dict(
-            pages=pages,
+            pages=window.pages,
             dmax=dmax,
             score=score,
             paging_rate=rate,
@@ -97,7 +132,7 @@ class TestVerifyAnalysis:
             max_pages=64,
             min_pages=0,
             streams=streams,
-            dependent=select_dependent_pages(pages, n, dmax, 1000, streams=streams),
+            dependent=select_from_streams(streams, n, 1000),
             address_limit=1000,
         )
         kwargs.update(overrides)

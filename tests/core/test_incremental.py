@@ -1,13 +1,15 @@
-"""IncrementalWindow ≡ the naive window + full-window analysis.
+"""IncrementalWindow ≡ the oracle's reference window and equations.
 
 The incremental sliding-window analysis is a pure optimization: after any
 sequence of records (pushes and implied evictions) every query must return
-*exactly* — bit-for-bit for the float quantities — what the naive
-:class:`repro.core.window.LookbackWindow` plus the full-window scans of
-:mod:`repro.core.stride` / :mod:`repro.core.locality` return for the same
-stream.  Hypothesis drives arbitrary streams through both and compares
-after every single record, so any divergence pins the exact prefix that
-caused it.
+*exactly* — bit-for-bit for the float quantities — what the brute-force
+references of :mod:`repro.check.oracle` return for the same stream: the
+deque-based :class:`~repro.check.oracle.RefWindow` for the recording
+rules, and ``ref_stride_counts`` / ``ref_locality_score`` /
+``ref_outstanding_streams`` over its pages.  Hypothesis drives arbitrary
+streams through both and compares after every single record, so any
+divergence pins the exact prefix that caused it.  The tests of the first
+two classes are one law split by quantity.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.oracle import (
+    RefWindow,
+    ref_locality_score,
+    ref_outstanding_streams,
+    ref_stride_counts,
+)
 from repro.core.incremental import IncrementalWindow
-from repro.core.locality import spatial_locality_score
-from repro.core.stride import find_outstanding_streams, stride_counts
-from repro.core.window import LookbackWindow
 from repro.errors import ConfigurationError
 
 #: Small page universe so streams collide (strides, repeats, evictions).
@@ -38,43 +43,47 @@ dmaxes = st.integers(min_value=1, max_value=5)
 def _drive(stream, length, dmax):
     """Feed the stream to both windows, comparing after every record."""
     inc = IncrementalWindow(length, dmax)
-    naive = LookbackWindow(length)
+    ref = RefWindow(length)
     t = 0.0
     for vpn, dt, cpu in stream:
         t += dt
-        assert inc.record(vpn, t, cpu) == naive.record(vpn, t, cpu)
-        yield inc, naive
+        assert inc.record(vpn, t, cpu) == ref.record(vpn, t, cpu)
+        yield inc, ref
+
+
+def _triples(streams):
+    return [(s.stride, s.end_index, s.pivot) for s in streams]
 
 
 class TestWindowSurface:
-    """The LookbackWindow-compatible recording surface."""
+    """The recording surface against the reference window."""
 
     @given(records, lengths, dmaxes)
     def test_contents_track_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.pages == naive.pages
-            assert inc.times == naive.times
-            assert inc.cpus == naive.cpus
-            assert len(inc) == len(naive)
-            assert inc.full == naive.full
-            assert inc.wraps == naive.wraps
-            assert inc.last_page == naive.last_page
+        for inc, ref in _drive(stream, length, dmax):
+            assert inc.pages == tuple(ref.pages)
+            assert inc.times == tuple(ref.times)
+            assert inc.cpus == tuple(ref.cpus)
+            assert len(inc) == len(ref.pages)
+            assert inc.full == (len(ref.pages) == length)
+            assert inc.wraps == ref.wraps
+            assert inc.last_page == ref.pages[-1]
 
     @given(records, lengths, dmaxes)
     def test_derived_floats_bit_identical(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
+        for inc, ref in _drive(stream, length, dmax):
             # Exact equality on purpose: the incremental path promises the
             # identical float operation sequence, not approximation.
-            assert inc.paging_rate(0.01) == naive.paging_rate(0.01)
-            assert inc.mean_cpu() == naive.mean_cpu()
-            assert inc.last_cpu() == naive.last_cpu()
+            assert inc.paging_rate(0.01) == ref.paging_rate(0.01)
+            assert inc.mean_cpu() == ref.mean_cpu()
+            assert inc.last_cpu() == ref.last_cpu()
 
     def test_rejects_decreasing_times(self):
-        inc = IncrementalWindow(4, 2)
-        assert inc.record(1, 1.0, 0.5)
-        assert inc.record(2, 2.0, 0.5)
-        with pytest.raises(ConfigurationError):
-            inc.record(3, 1.5, 0.5)
+        for window in (IncrementalWindow(4, 2), RefWindow(4)):
+            assert window.record(1, 1.0, 0.5)
+            assert window.record(2, 2.0, 0.5)
+            with pytest.raises(ConfigurationError):
+                window.record(3, 1.5, 0.5)
 
     def test_consecutive_repeat_not_recorded(self):
         inc = IncrementalWindow(4, 2)
@@ -84,25 +93,23 @@ class TestWindowSurface:
 
 
 class TestAnalysisQueries:
-    """The per-fault analysis vs the full-window reference scans."""
+    """The per-fault analysis vs the oracle's exhaustive scans."""
 
     @given(records, lengths, dmaxes)
     def test_stride_counts_match_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.stride_counts() == stride_counts(naive.pages, dmax)
+        for inc, ref in _drive(stream, length, dmax):
+            assert inc.stride_counts() == ref_stride_counts(ref.pages, dmax)
 
     @given(records, lengths, dmaxes)
     def test_locality_score_bit_identical(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.locality_score() == spatial_locality_score(
-                naive.pages, dmax
-            )
+        for inc, ref in _drive(stream, length, dmax):
+            assert inc.locality_score() == ref_locality_score(ref.pages, dmax)
 
     @given(records, lengths, dmaxes)
     def test_outstanding_streams_match_naive(self, stream, length, dmax):
-        for inc, naive in _drive(stream, length, dmax):
-            assert inc.outstanding_streams() == find_outstanding_streams(
-                naive.pages, dmax
+        for inc, ref in _drive(stream, length, dmax):
+            assert _triples(inc.outstanding_streams()) == ref_outstanding_streams(
+                ref.pages, dmax
             )
 
     @settings(max_examples=25)
@@ -113,14 +120,14 @@ class TestAnalysisQueries:
     def test_long_sequential_stream(self, start, n):
         """Many evictions on the best case for strides (pure sequential)."""
         inc = IncrementalWindow(8, 4)
-        naive = LookbackWindow(8)
+        ref = RefWindow(8)
         for i in range(n):
             inc.record(start + i, float(i), 1.0)
-            naive.record(start + i, float(i), 1.0)
-        assert inc.stride_counts() == stride_counts(naive.pages, 4)
+            ref.record(start + i, float(i), 1.0)
+        assert inc.stride_counts() == ref_stride_counts(ref.pages, 4)
         assert inc.locality_score() == 1.0
-        assert inc.outstanding_streams() == find_outstanding_streams(
-            naive.pages, 4
+        assert _triples(inc.outstanding_streams()) == ref_outstanding_streams(
+            ref.pages, 4
         )
 
     def test_paper_example_score(self):

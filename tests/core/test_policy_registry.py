@@ -7,10 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import SimulationConfig
-from repro.core.batch import BatchedAnalysisPool
 from repro.core.leap import LeapPrefetcher
 from repro.core.policy import (
-    BATCHED_POLICIES,
     POLICIES,
     FixedReadAheadPolicy,
     LinuxReadAheadPolicy,
@@ -26,13 +24,12 @@ from repro.errors import ConfigurationError
 CONFIG = SimulationConfig()
 
 
-def make_ctx(batch_pool=None, n_pages=256):
+def make_ctx(n_pages=256):
     """The slice of MigrationContext the policy factories consume."""
     return SimpleNamespace(
         ampom=CONFIG.ampom,
         hardware=CONFIG.hardware,
         address_space=SimpleNamespace(total_pages=n_pages),
-        batch_pool=batch_pool,
         prefetch_policy=None,
     )
 
@@ -46,7 +43,6 @@ class TestRegistry:
             "noprefetch",
             "readahead",
         )
-        assert BATCHED_POLICIES == {"ampom"}
 
     def test_every_member_constructs_a_policy(self):
         ctx = make_ctx()
@@ -108,32 +104,6 @@ class TestMakePrefetchPolicy:
         assert type(policy) is type(direct)
         assert policy.address_limit == direct.address_limit
         assert policy.analysis_time == direct.analysis_time
-
-    def test_ampom_uses_batch_pool_when_present(self):
-        pool = BatchedAnalysisPool()
-        ctx = make_ctx(batch_pool=pool)
-        policy = make_prefetch_policy("ampom", ctx)
-        direct = pool.prefetcher(
-            ctx.ampom, ctx.hardware, address_limit=ctx.address_space.total_pages
-        )
-        assert type(policy) is type(direct)
-        assert pool.quiesce_log == []
-
-    def test_non_batched_policy_quiesces_with_reason(self):
-        pool = BatchedAnalysisPool()
-        ctx = make_ctx(batch_pool=pool)
-        policy = make_prefetch_policy("leap", ctx)
-        assert isinstance(policy, LeapPrefetcher)
-        assert len(pool.quiesce_log) == 1
-        name, reason = pool.quiesce_log[0]
-        assert name == "leap"
-        assert "scalar" in reason
-
-    def test_noprefetch_never_logs_a_quiesce(self):
-        pool = BatchedAnalysisPool()
-        policy = make_prefetch_policy("noprefetch", make_ctx(batch_pool=pool))
-        assert isinstance(policy, NoPrefetchPolicy)
-        assert pool.quiesce_log == []
 
     def test_registry_is_extensible(self):
         class Custom:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.check.oracle import ref_select_dependent_pages
 from repro.core.zone import (
     dependent_zone_size,
     prefetch_horizon,
-    select_dependent_pages,
+    readahead_fallback,
+    select_from_streams,
 )
+
+from .conftest import filled_window, select_pages
 
 
 class TestHorizon:
@@ -63,7 +67,7 @@ class TestSelection:
     def test_paper_pivots_receive_quota(self):
         """Pivots 16, 5, 6 from the section-3.4 example split N = 6 evenly."""
         pages = [13, 27, 7, 8, 14, 8, 3, 15, 4, 5]
-        selected = select_dependent_pages(pages, n=6, dmax=4, address_limit=1000)
+        selected = select_pages(pages, n=6, address_limit=1000)
         assert len(selected) == 6
         # Each pivot contributes its quota of 2 consecutive pages.
         assert {16, 17, 5, 7, 6, 8} >= set(selected)
@@ -71,43 +75,44 @@ class TestSelection:
 
     def test_saved_quota_extends_walk(self):
         """A page claimed by an earlier stream costs no quota (section 3.4)."""
-        # Two streams with pivots 6 and 7 (overlapping forward walks).
-        pages = [5, 0, 6, 0, 0, 0, 0, 0, 5, 6]
-        # pivots: both pairs end in 6 -> single pivot 7?  Build a clearer case:
         pages = [10, 20, 11, 21, 12, 22]  # pivots 13 (stride 2) and 23 (stride 2)
-        selected = select_dependent_pages(pages, n=4, dmax=4, address_limit=1000)
+        selected = select_pages(pages, n=4, address_limit=1000)
         assert set(selected) == {13, 14, 23, 24}
 
     def test_overlapping_pivot_regions_use_saved_quota(self):
         # Pivot A = 13, pivot B = 14: B's walk skips 14 if A claimed it.
         pages = [99, 12, 98, 13, 97, 12, 13, 14]
         # streams ending near the end: {12,13} d=?, {13,14} d=1 -> pivots 14, 15
-        selected = select_dependent_pages(pages, n=4, dmax=4, address_limit=1000)
+        selected = select_pages(pages, n=4, address_limit=1000)
         assert len(set(selected)) == len(selected) == 4
 
     def test_fallback_read_ahead_after_last_reference(self):
         """No outstanding stream: the N pages after r_l are dependent."""
         pages = [50, 10, 90, 30]
-        selected = select_dependent_pages(pages, n=3, dmax=4, address_limit=1000)
+        selected = select_pages(pages, n=3, address_limit=1000)
         assert selected == [31, 32, 33]
 
     def test_fallback_respects_address_limit(self):
         pages = [50, 10, 90, 30]
-        assert select_dependent_pages(pages, n=5, dmax=4, address_limit=32) == [31]
+        assert select_pages(pages, n=5, address_limit=32) == [31]
 
     def test_stream_walk_respects_address_limit(self):
-        selected = select_dependent_pages([1, 2, 3], n=10, dmax=4, address_limit=6)
+        selected = select_pages([1, 2, 3], n=10, address_limit=6)
         assert selected == [4, 5]
 
     def test_zero_n_selects_nothing(self):
-        assert select_dependent_pages([1, 2, 3], n=0, dmax=4, address_limit=100) == []
+        streams = filled_window([1, 2, 3]).outstanding_streams()
+        assert select_from_streams(streams, 0, address_limit=100) == []
+        assert readahead_fallback(3, 0, address_limit=100) == []
 
     def test_empty_window_selects_nothing(self):
-        assert select_dependent_pages([], n=5, dmax=4, address_limit=100) == []
+        # The prefetcher records before it selects, so only the reference
+        # ever sees an empty window.
+        assert ref_select_dependent_pages([], n=5, dmax=4, address_limit=100) == []
 
     def test_remainder_distributed_to_first_streams(self):
         pages = [10, 20, 11, 21, 12, 22]  # two pivots: 13, 23
-        selected = select_dependent_pages(pages, n=5, dmax=4, address_limit=1000)
+        selected = select_pages(pages, n=5, address_limit=1000)
         assert len(selected) == 5
 
     @given(
@@ -116,13 +121,13 @@ class TestSelection:
     )
     def test_selection_invariants(self, pages, n):
         limit = 1000
-        selected = select_dependent_pages(pages, n=n, dmax=4, address_limit=limit)
+        selected = select_pages(pages, n=n, address_limit=limit)
         assert len(selected) <= n
         assert len(set(selected)) == len(selected)  # no duplicates
         assert all(0 <= p < limit for p in selected)
 
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=20))
     def test_selection_deterministic(self, pages):
-        a = select_dependent_pages(pages, n=16, dmax=4, address_limit=1000)
-        b = select_dependent_pages(pages, n=16, dmax=4, address_limit=1000)
+        a = select_pages(pages, n=16, address_limit=1000)
+        b = select_pages(pages, n=16, address_limit=1000)
         assert a == b

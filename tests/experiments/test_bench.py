@@ -39,7 +39,6 @@ class TestHarness:
             "ampom_traced",
             "cluster_sustained",
             "cluster_sustained_telemetry",
-            "batched_pipeline",
             "cluster_300_smoke",
             "arena",
         }
@@ -56,10 +55,6 @@ class TestHarness:
         record = bench.run_bench(repeats=1, cases={"noop": _noop})
         path = bench.write_record(record, tmp_path / "out" / "bench.json")
         assert json.loads(path.read_text()) == record
-
-    def test_batched_pipeline_case_scores_sequential_sweeps(self):
-        analysis = bench.CASES["batched_pipeline"]()
-        assert (analysis.score == 1.0).all()
 
 
 class TestHistory:
