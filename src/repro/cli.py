@@ -1295,7 +1295,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name, case in record["cases"].items():
         print(
             f"{name:16s} min {case['min_s'] * 1e3:8.2f} ms   "
-            f"score {case['score']:8.1f}"
+            f"score {case['score']:8.1f}   events {case['events_fired']:9d}"
         )
     print(f"wrote {path}")
     if args.history != "none":

@@ -914,11 +914,7 @@ class ScenarioRuntime:
             run_time=run_time,
             budget=executor.budget,
             counters=executor.counters,
-            wasted_pages=(
-                len(executor._fetched - executor._touched)
-                if executor.track_touched
-                else 0
-            ),
+            wasted_pages=executor.wasted_pages(),
             extra=dict(outcome.extra),
             prefetch_policy=getattr(outcome.policy, "name", "") or "",
         )

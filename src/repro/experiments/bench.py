@@ -32,6 +32,7 @@ from ..migration.ampom import AmpomMigration
 from ..migration.executor import ExecutionResult
 from ..migration.noprefetch import NoPrefetchMigration
 from ..migration.openmosix import OpenMosixMigration
+from ..sim import Simulator
 from ..units import mib
 from ..workloads.synthetic import SequentialWorkload, UniformRandomWorkload
 
@@ -222,6 +223,29 @@ def calibrate(repeats: int = 3) -> float:
     return max(best, 1e-9)
 
 
+def count_events(fn: Callable[[], object]) -> int:
+    """Run ``fn`` once; return the events fired by every simulator it
+    built in this process (:attr:`Simulator.events_fired`).
+
+    A deterministic work count to read next to the noisy wall time: the
+    same for a given case on any host.  Runs forked to worker processes
+    (``REPRO_JOBS``/``REPRO_SHARD``) are not counted.
+    """
+    sims: list[Simulator] = []
+    init = Simulator.__init__
+
+    def recording_init(self: Simulator) -> None:
+        init(self)
+        sims.append(self)
+
+    Simulator.__init__ = recording_init
+    try:
+        fn()
+    finally:
+        Simulator.__init__ = init
+    return sum(sim.events_fired for sim in sims)
+
+
 def time_case(fn: Callable[[], object], repeats: int) -> list[float]:
     """Wall-time ``fn`` ``repeats`` times; returns every measurement."""
     times: list[float] = []
@@ -244,7 +268,8 @@ def run_bench(repeats: int = 5, cases: dict[str, Callable[[], object]] | None = 
         "cases": {},
     }
     for name, fn in cases.items():
-        fn()  # one warm-up run outside the measurement
+        # The warm-up run, outside the measurement, also counts the work.
+        events = count_events(fn)
         times = time_case(fn, repeats)
         best = min(times)
         record["cases"][name] = {
@@ -252,6 +277,7 @@ def run_bench(repeats: int = 5, cases: dict[str, Callable[[], object]] | None = 
             "mean_s": sum(times) / len(times),
             "times_s": times,
             "score": best / calibration_s,
+            "events_fired": events,
         }
     return record
 
@@ -326,6 +352,7 @@ __all__ = [
     "append_history",
     "calibrate",
     "compare",
+    "count_events",
     "run_bench",
     "time_case",
     "write_record",

@@ -111,7 +111,7 @@ class ExecutorCarry:
     trace: object
     budget: TimeBudget
     counters: Counters
-    touched: set
+    touched: np.ndarray
     fetched: set
     window_wraps_seen: int
 
@@ -238,7 +238,9 @@ class MigrantExecutor:
             self.counters = Counters()
             self.counters.pages_migrated = outcome.pages_shipped
             self._trace = None
-            self._touched: set[int] = set()
+            #: Bitmap of the page numbers the trace has referenced, grown on
+            #: demand (see :meth:`_mark_touched`).
+            self._touched = np.zeros(0, dtype=bool)
             self._fetched: set[int] = set()
             self._window_wraps_seen = 0
         else:
@@ -302,6 +304,27 @@ class MigrantExecutor:
             window_wraps_seen=self._window_wraps_seen,
         )
 
+    def wasted_pages(self) -> int:
+        """Fetched pages the trace never referenced (0 when touched pages
+        are not tracked)."""
+        if not self.track_touched or not self._fetched:
+            return 0
+        fetched = np.fromiter(self._fetched, dtype=np.int64, count=len(self._fetched))
+        touched = self._touched
+        return int(fetched.size - np.count_nonzero(touched[fetched[fetched < touched.size]]))
+
+    def _mark_touched(self, pages: np.ndarray) -> None:
+        """Set ``pages`` (non-negative page numbers) in the touched bitmap,
+        growing it when a page lies past its end."""
+        try:
+            self._touched[pages] = True
+        except IndexError:
+            size = max(int(pages.max()) + 1, 2 * self._touched.size)
+            grown = np.zeros(size, dtype=bool)
+            grown[: self._touched.size] = self._touched
+            grown[pages] = True
+            self._touched = grown
+
     def discard_fetch(self, vpn: int) -> None:
         """Forget a fetched-but-written-off page (keeps the wasted-page
         accounting consistent when the runtime writes off lost prefetches
@@ -364,7 +387,7 @@ class MigrantExecutor:
                 else:
                     chunk: TraceChunk = event
                     if self.track_touched:
-                        self._touched.update(np.unique(chunk.pages).tolist())
+                        self._mark_touched(chunk.pages)
                     # Fast path: everything the trace can touch is mapped (not
                     # available under the memory-pressure model, which must see
                     # every reference to keep LRU recency).
@@ -433,7 +456,7 @@ class MigrantExecutor:
             run_time=run_time,
             budget=self.budget,
             counters=self.counters,
-            wasted_pages=len(self._fetched - self._touched) if self.track_touched else 0,
+            wasted_pages=self.wasted_pages(),
             extra=dict(self.outcome.extra),
             prefetch_policy=getattr(self.outcome.policy, "name", "") or "",
         )

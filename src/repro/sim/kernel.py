@@ -7,11 +7,20 @@ skipped entirely while no observer is registered (the common case; only
 ``REPRO_CHECKS=1`` runs attach one).  ``step()`` keeps the readable
 one-event-at-a-time form for tests and interactive use; both paths fire
 events in the identical deterministic order.
+
+Inside :meth:`Simulator.run` and :meth:`Simulator.run_until_complete` a
+process whose ``Timeout`` wake-up would be the strictly earliest pending
+event is resumed in place instead of through the heap ("run-ahead", see
+:meth:`repro.sim.process.SimProcess._resume`).  The loops publish what
+that needs on the simulator: the horizon a wake-up may not pass, the
+``max_events`` limit, the process ``run_until_complete`` waits for, and
+the fired-event count every wake-up adds to.  ``step()`` never runs ahead.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import TYPE_CHECKING, Callable, Generator
 
 from ..errors import SimulationError
@@ -39,12 +48,24 @@ class Simulator:
     [2.5]
     """
 
-    __slots__ = ("_now", "_queue", "_running", "_observers")
+    __slots__ = (
+        "_now", "_queue", "_running", "_observers",
+        "_fired", "_horizon", "_limit", "_target",
+    )
 
     def __init__(self) -> None:
         self._now = 0.0
         self._queue = EventQueue()
         self._running = False
+        #: Events fired so far: heap events plus run-ahead wake-ups.
+        self._fired = 0
+        #: Run-ahead bounds of the active run loop: the latest time a
+        #: wake-up may run ahead to (``-inf`` outside a loop, so never),
+        #: the ``_fired`` count at which ``max_events`` stops the loop, and
+        #: the process ``run_until_complete`` stops at.
+        self._horizon = -math.inf
+        self._limit = math.inf
+        self._target: "SimProcess | None" = None
         #: Pure observers invoked after every fired event with the event
         #: time.  Observers must not schedule or mutate model state; the
         #: repro.check invariant checker uses this to audit clock
@@ -69,6 +90,15 @@ class Simulator:
         return self._now
 
     @property
+    def events_fired(self) -> int:
+        """Events fired so far: heap events plus run-ahead wake-ups.
+
+        A deterministic work count — the same for a given seed whether
+        a wake-up went through the heap or ran ahead of it.
+        """
+        return self._fired
+
+    @property
     def pending_events(self) -> int:
         """Number of events still in the heap (including cancelled ones)."""
         return len(self._queue)
@@ -78,13 +108,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
+            if delay != delay:
+                raise SimulationError("cannot schedule at a NaN delay")
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self._queue.push(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:
+            if time != time:
+                raise SimulationError("cannot schedule at a NaN time")
             raise SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
         return self._queue.push(time, callback)
 
@@ -120,6 +154,7 @@ class Simulator:
         if time < self._now:
             raise SimulationError("event heap yielded an event from the past")
         self._now = time
+        self._fired += 1
         if payload.__class__ is Event:
             payload.callback()
         else:
@@ -134,7 +169,8 @@ class Simulator:
 
         ``until`` is an absolute simulated time; the clock is advanced to it
         even if the last event fires earlier, mirroring SimPy semantics.
-        ``max_events`` is a safety valve for tests.
+        ``max_events`` is a safety valve for tests; run-ahead wake-ups
+        count against it like heap events.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -142,7 +178,11 @@ class Simulator:
         heap = self._queue._heap
         heappop = heapq.heappop
         observers = self._observers
-        fired = 0
+        limit = math.inf if max_events is None else self._fired + max_events
+        saved = self._horizon, self._limit, self._target
+        self._horizon = math.inf if until is None else until
+        self._limit = limit
+        self._target = None
         try:
             while heap:
                 time, _seq, payload = heap[0]
@@ -152,22 +192,26 @@ class Simulator:
                     continue
                 if until is not None and time > until:
                     break
-                if max_events is not None and fired >= max_events:
+                if max_events is not None and self._fired >= limit:
                     raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
                 heappop(heap)
                 if time < self._now:
                     raise SimulationError("event heap yielded an event from the past")
                 self._now = time
+                self._fired += 1
                 if is_event:
                     payload.callback()
                 else:
                     payload()
                 if observers:
+                    # ``_now``, not ``time``: a process that ran ahead has
+                    # already reported its earlier wake-ups.
+                    now = self._now
                     for observer in observers:
-                        observer(time)
-                fired += 1
+                        observer(now)
         finally:
             self._running = False
+            self._horizon, self._limit, self._target = saved
         if until is not None and self._now < until:
             self._now = until
 
@@ -180,33 +224,41 @@ class Simulator:
         heap = self._queue._heap
         heappop = heapq.heappop
         observers = self._observers
-        fired = 0
-        while not proc.finished:
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
-            while heap:
-                time, _seq, payload = heap[0]
-                is_event = payload.__class__ is Event
-                if is_event and payload.cancelled:
-                    heappop(heap)
-                    continue
-                break
-            else:
-                raise SimulationError(
-                    f"event queue drained but process {proc.name!r} never finished (deadlock)"
-                )
-            heappop(heap)
-            if time < self._now:
-                raise SimulationError("event heap yielded an event from the past")
-            self._now = time
-            if is_event:
-                payload.callback()
-            else:
-                payload()
-            if observers:
-                for observer in observers:
-                    observer(time)
-            fired += 1
+        limit = math.inf if max_events is None else self._fired + max_events
+        saved = self._horizon, self._limit, self._target
+        self._horizon = math.inf
+        self._limit = limit
+        self._target = proc
+        try:
+            while not proc.finished:
+                if max_events is not None and self._fired >= limit:
+                    raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
+                while heap:
+                    time, _seq, payload = heap[0]
+                    is_event = payload.__class__ is Event
+                    if is_event and payload.cancelled:
+                        heappop(heap)
+                        continue
+                    break
+                else:
+                    raise SimulationError(
+                        f"event queue drained but process {proc.name!r} never finished (deadlock)"
+                    )
+                heappop(heap)
+                if time < self._now:
+                    raise SimulationError("event heap yielded an event from the past")
+                self._now = time
+                self._fired += 1
+                if is_event:
+                    payload.callback()
+                else:
+                    payload()
+                if observers:
+                    now = self._now
+                    for observer in observers:
+                        observer(now)
+        finally:
+            self._horizon, self._limit, self._target = saved
         if proc.error is not None:
             raise proc.error
         return proc.result

@@ -32,7 +32,11 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
+        # One comparison on the hot path; NaN fails it too.  ``inf`` is a
+        # valid delay (a process parked forever).
+        if not delay >= 0:
+            if delay != delay:
+                raise SimulationError("Timeout delay must be a number, got nan")
             raise SimulationError(f"Timeout delay must be non-negative, got {delay}")
         self.delay = delay
 
@@ -109,25 +113,56 @@ class SimProcess:
     def _resume(self, value: object = None) -> None:
         if self.finished:
             return
-        try:
-            condition = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
+        sim = self.sim
+        gen = self._gen
+        while True:
+            try:
+                condition = gen.send(value)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except Exception as exc:  # noqa: BLE001 - surfaced via .error
+                self._finish(None, exc)
+                return
+            # Dispatch ordered by frequency: Timeout is the hot wait
+            # condition (one per compute/stall slice), joins and
+            # completions are rare.
+            if type(condition) is not Timeout:
+                self._wait_on(condition)
+                return
+            t = sim._now + condition.delay
+            heap = sim._queue._heap
+            # Run-ahead: a wake-up that would be the strictly earliest
+            # event fires next anyway, so resume in place and skip the
+            # heap round-trip.  Only inside a run loop's horizon and
+            # max_events budget, and not once the process
+            # run_until_complete waits for has finished.  An equal-time
+            # entry was pushed earlier (lower seq) and fires first, so ties
+            # go through the heap.
+            if (
+                (not heap or heap[0][0] > t)
+                and t <= sim._horizon
+                and sim._fired < sim._limit
+                and (sim._target is None or not sim._target.finished)
+            ):
+                # Account the slice that just ended exactly as the run
+                # loop would: observers see its time, then the clock moves
+                # and the wake-up counts as a fired event.
+                if sim._observers:
+                    now = sim._now
+                    for observer in sim._observers:
+                        observer(now)
+                sim._now = t
+                sim._fired += 1
+                value = None
+                continue
+            # The wake-up goes onto the heap as a bare callback:
+            # Timeout.__init__ already rejected negative and NaN delays,
+            # the wake-up is fired exactly once (never cancelled), and the
+            # bound ``_resume`` itself is the callback — ``value`` defaults
+            # to None.
+            sim._queue.push_callback(t, self._resume)
             return
-        except Exception as exc:  # noqa: BLE001 - surfaced via .error
-            self._finish(None, exc)
-            return
-        # Dispatch ordered by frequency: Timeout is the hot wait condition
-        # (one per compute/stall slice), joins and completions are rare.
-        # The wake-up goes straight onto the event heap as a bare callback:
-        # Timeout.__init__ already rejected negative delays, the wake-up is
-        # fired exactly once (never cancelled), and the bound ``_resume``
-        # itself is the callback — ``value`` defaults to None.
-        if type(condition) is Timeout:
-            sim = self.sim
-            sim._queue.push_callback(sim._now + condition.delay, self._resume)
-        else:
-            self._wait_on(condition)
 
     def _wait_on(self, condition: object) -> None:
         if isinstance(condition, Timeout):

@@ -27,6 +27,11 @@ class TestHarness:
         case = record["cases"]["noop"]
         assert case["min_s"] == min(case["times_s"])
         assert case["score"] == case["min_s"] / record["calibration_s"]
+        assert case["events_fired"] == 0
+
+    def test_count_events_is_a_deterministic_work_count(self):
+        counts = [bench.count_events(bench.CASES["demand_paging"]) for _ in range(2)]
+        assert counts[0] == counts[1] > 0
 
     def test_default_cases_cover_throughput_suite(self):
         assert set(bench.CASES) == {

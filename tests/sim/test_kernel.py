@@ -39,6 +39,25 @@ def test_schedule_at_past_raises(sim):
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_schedule_nan_delay_raises(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_schedule_at_nan_time_raises(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_schedule_accepts_inf(sim):
+    sim.schedule(float("inf"), lambda: None)
+    sim.schedule_at(float("inf"), lambda: None)
+    sim.run(until=1.0)
+    assert sim.pending_events == 2
+
+
 def test_run_until_stops_before_later_events(sim):
     fired = []
     sim.schedule(1.0, lambda: fired.append(1))

@@ -26,6 +26,24 @@ def test_timeout_negative_raises():
         Timeout(-0.1)
 
 
+def test_timeout_nan_raises():
+    with pytest.raises(SimulationError, match="nan"):
+        Timeout(float("nan"))
+
+
+def test_timeout_inf_parks_the_process(sim):
+    log = []
+
+    def proc():
+        yield Timeout(float("inf"))
+        log.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run(until=5.0)
+    assert log == []
+    assert sim.now == 5.0
+
+
 def test_return_value_captured(sim):
     def proc():
         yield Timeout(1.0)
