@@ -39,7 +39,10 @@ page that is local, buffered, or already on the wire would double-fetch
 it); a retransmission may re-name its in-flight demand page.
 
 Any violation raises :class:`repro.errors.InvariantViolation` with the
-most recent events attached.
+most recent events attached.  The checker keeps those events as raw
+``(time, kind, format, args)`` tuples and renders them into
+:class:`CheckEvent` lines only when a violation is raised, so a run that
+passes never formats its trail.
 """
 
 from __future__ import annotations
@@ -57,6 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.counters import Counters
     from ..migration.base import MigrationOutcome
     from ..sim import Simulator
+
+
+#: The ``Counters`` attribute tallying each fault kind, in the order the
+#: fault-counter consistency check compares them.
+_FAULT_COUNTERS: dict[FaultKind, str] = {
+    FaultKind.MAJOR: "major_faults",
+    FaultKind.IN_FLIGHT_WAIT: "inflight_waits",
+    FaultKind.MINOR_BUFFERED: "minor_buffered_faults",
+    FaultKind.MINOR_CREATE: "create_faults",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,12 +100,17 @@ class InvariantChecker:
         self.outcome = outcome
         self.counters = counters
         self.node_plan = node_plan
-        self._trace: deque[CheckEvent] = deque(maxlen=max(spec.trace_depth, 1))
+        #: ``(time, kind, format, args)``; ``format.format(*args)`` is
+        #: the event's :attr:`CheckEvent.detail`.
+        self._trace: deque[tuple[float, str, str, tuple]] = deque(
+            maxlen=max(spec.trace_depth, 1)
+        )
         self._last_time = sim.now
         self._events_checked = 0
         self.deep_audits = 0
-        #: Independent tally of fault events, by kind.
-        self._observed: dict[FaultKind, int] = {kind: 0 for kind in FaultKind}
+        #: Independent tally of fault events, by kind (in the key order of
+        #: ``_FAULT_COUNTERS``, which :meth:`_check_cheap` relies on).
+        self._observed: dict[FaultKind, int] = dict.fromkeys(_FAULT_COUNTERS, 0)
         #: Page population at attach time; grows only by creation faults.
         self._initial_pages = outcome.residency.total_pages
         #: Pages already on the wire (or buffered) at attach time: FFA
@@ -114,11 +132,12 @@ class InvariantChecker:
         deputy = getattr(self.outcome.page_service, "deputy", None)
         return deputy is not None and getattr(deputy, "fault_plan", None) is not None
 
-    def _record(self, kind: str, detail: str) -> None:
-        self._trace.append(CheckEvent(self.sim.now, kind, detail))
-
     def _fail(self, invariant: str, detail: str) -> None:
-        raise InvariantViolation(invariant, detail, trace=tuple(self._trace))
+        trace = tuple(
+            CheckEvent(time, kind, fmt.format(*args))
+            for time, kind, fmt, args in self._trace
+        )
+        raise InvariantViolation(invariant, detail, trace=trace)
 
     # ------------------------------------------------------------------
     # event hooks
@@ -140,8 +159,12 @@ class InvariantChecker:
     ) -> None:
         """Called immediately *before* a paging request goes on the wire."""
         res = self.outcome.residency
-        label = "retransmit" if retransmit else "request"
-        self._record(label, f"demand={list(demand)} prefetch={len(prefetch)} pages")
+        self._trace.append((
+            self.sim.now,
+            "retransmit" if retransmit else "request",
+            "demand={} prefetch={} pages",
+            (list(demand), len(prefetch)),
+        ))
         seen: set[int] = set()
         for vpn in [*demand, *prefetch]:
             if vpn in seen:
@@ -172,8 +195,9 @@ class InvariantChecker:
     def on_fault(self, kind: FaultKind, vpn: int) -> None:
         """Called after the executor fully resolved one fault."""
         self._observed[kind] += 1
-        self._record("fault", f"{kind.value} vpn={vpn}")
-        self.on_sim_event(self.sim.now)
+        now = self.sim.now
+        self._trace.append((now, "fault", "{0.value} vpn={1}", (kind, vpn)))
+        self.on_sim_event(now)
         self._check_cheap()
         self._events_checked += 1
         if self._events_checked % self.spec.deep_audit_interval == 0:
@@ -189,11 +213,13 @@ class InvariantChecker:
         fault-counter-consistency tally still balances at final audit.
         """
         self._observed[kind] += 1
-        self._record("fault", f"{kind.value} interrupted by node crash")
+        self._trace.append(
+            (self.sim.now, "fault", "{0.value} interrupted by node crash", (kind,))
+        )
 
     def final_audit(self) -> None:
         """Run at end of execution: deep audit + full counter consistency."""
-        self._record("final", "end of execution")
+        self._trace.append((self.sim.now, "final", "end of execution", ()))
         self._check_cheap()
         self.deep_audit()
 
@@ -245,18 +271,17 @@ class InvariantChecker:
                 f"copied={c.pages_copied} written_off={c.prefetch_writeoffs})",
             )
 
-        tallies = {
-            FaultKind.MAJOR: c.major_faults,
-            FaultKind.IN_FLIGHT_WAIT: c.inflight_waits,
-            FaultKind.MINOR_BUFFERED: c.minor_buffered_faults,
-            FaultKind.MINOR_CREATE: c.create_faults,
-        }
-        for kind, counted in tallies.items():
-            if counted != self._observed[kind]:
+        # Zipped rather than looked up: hashing a FaultKind is a Python-level
+        # call, and this runs on every fault.
+        for (kind, observed), counter in zip(
+            self._observed.items(), _FAULT_COUNTERS.values()
+        ):
+            counted = getattr(c, counter)
+            if counted != observed:
                 self._fail(
                     "fault-counter-consistency",
                     f"counters report {counted} {kind.value} faults but the "
-                    f"checker observed {self._observed[kind]}",
+                    f"checker observed {observed}",
                 )
 
     # ------------------------------------------------------------------

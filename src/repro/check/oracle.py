@@ -1,11 +1,19 @@
 """Brute-force reference implementations of the AMPoM equations.
 
-These are deliberately naive O(l²)-per-window transcriptions of the paper
-text — no position index, no incremental state — so they share no code
-(and therefore no bugs) with the production implementations in
-:mod:`repro.core`.  :class:`DifferentialOracle` cross-checks the two on
-every dependent-zone analysis when ``CheckSpec.oracle`` is enabled and
-raises :class:`repro.errors.InvariantViolation` on any disagreement.
+These are stateless, exhaustive transcriptions of the paper text.  Their
+independence from the production implementations in :mod:`repro.core` is
+that they share no code and no state with them (and therefore no bugs):
+nothing here is imported from :mod:`repro.core`, nothing is carried from
+one window to the next, and every scan re-reads the whole window.  Being
+slow is not part of that independence.  The scans look up the
+occurrences of page ``r_p + 1`` in a value -> positions dict built from
+the window alone (:func:`positions_of`), so one scan is O(l) lookups
+plus the occurrences found rather than O(l²) comparisons; every
+occurrence is still considered, in both directions for ``S``, with no
+clamping and no early exit.  :class:`DifferentialOracle` cross-checks
+the two on every dependent-zone analysis when ``CheckSpec.oracle`` is
+enabled, building that dict and the reference streams once per analysis,
+and raises :class:`repro.errors.InvariantViolation` on any disagreement.
 
 Reference semantics (paper sections 3.1-3.4):
 
@@ -29,11 +37,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, InvariantViolation
 
-_EPS = 1e-9
+#: value -> ascending window positions at which the value occurs.
+Positions = Mapping[int, Sequence[int]]
 
 
 class RefWindow:
@@ -91,48 +100,70 @@ class RefWindow:
         return self.cpus[-1] if self.cpus else 1.0
 
 
-def ref_stride_counts(pages: Sequence[int], dmax: int) -> dict[int, int]:
-    """``stride_d`` for ``d = 1..dmax`` by exhaustive pair scan."""
+def positions_of(pages: Sequence[int]) -> dict[int, list[int]]:
+    """Every position of every page in ``pages``, keyed by page number."""
+    index: dict[int, list[int]] = {}
+    for q, page in enumerate(pages):
+        index.setdefault(page, []).append(q)
+    return index
+
+
+def ref_stride_counts(
+    pages: Sequence[int], dmax: int, index: Positions | None = None
+) -> dict[int, int]:
+    """``stride_d`` for ``d = 1..dmax``: for every reference, the minimum
+    distance to any reference to the next page, in either direction.
+
+    ``index`` is :func:`positions_of` ``pages`` (built here when omitted).
+    """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
-    n = len(pages)
+    if index is None:
+        index = positions_of(pages)
     participants: dict[int, set[int]] = {d: set() for d in range(1, dmax + 1)}
-    for p in range(n):
-        distances = [abs(q - p) for q in range(n) if pages[q] == pages[p] + 1]
-        if not distances:
+    for p, page in enumerate(pages):
+        successors = index.get(page + 1)
+        if not successors:
             continue
-        d = min(distances)
+        d = min([abs(q - p) for q in successors])
         if 1 <= d <= dmax:
-            participants[d].add(pages[p])
-            participants[d].add(pages[p] + 1)
+            participants[d].add(page)
+            participants[d].add(page + 1)
     return {d: len(s) for d, s in participants.items()}
 
 
-def ref_locality_score(pages: Sequence[int], dmax: int) -> float:
+def ref_locality_score(
+    pages: Sequence[int], dmax: int, index: Positions | None = None
+) -> float:
     """Eq. 1, computed from :func:`ref_stride_counts`."""
     length = len(pages)
     if length == 0:
         return 0.0
-    counts = ref_stride_counts(pages, dmax)
+    counts = ref_stride_counts(pages, dmax, index)
     score = sum(count / (length * d) for d, count in counts.items())
     return min(max(score, 0.0), 1.0)
 
 
-def ref_outstanding_streams(pages: Sequence[int], dmax: int) -> list[tuple[int, int, int]]:
+def ref_outstanding_streams(
+    pages: Sequence[int], dmax: int, index: Positions | None = None
+) -> list[tuple[int, int, int]]:
     """Outstanding streams as ``(stride, end_index, pivot)`` triples.
 
     A forward pair ``(p, q)`` with ``pages[q] == pages[p] + 1`` at the
     minimum forward distance ``d = q - p <= dmax`` is outstanding when the
     endpoint lies within ``d`` of the window end (``q >= l - d``).
     Streams sharing a pivot collapse to the one ending latest; output is
-    ordered by (end_index, stride).
+    ordered by (end_index, stride).  ``index`` is as for
+    :func:`ref_stride_counts`.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
+    if index is None:
+        index = positions_of(pages)
     n = len(pages)
     by_pivot: dict[int, tuple[int, int, int]] = {}
-    for p in range(n):
-        forward = [q for q in range(p + 1, n) if pages[q] == pages[p] + 1]
+    for p, page in enumerate(pages):
+        forward = [q for q in index.get(page + 1, ()) if q > p]
         if not forward:
             continue
         q = min(forward)
@@ -169,16 +200,31 @@ def ref_select_dependent_pages(
     if n <= 0 or not window_pages:
         return []
     streams = ref_outstanding_streams(window_pages, dmax)
+    return _select(window_pages, n, streams, address_limit)
+
+
+def _select(
+    window_pages: Sequence[int],
+    n: int,
+    streams: Sequence[tuple[int, int, int]],
+    address_limit: int,
+) -> list[int]:
+    """Section 3.4 selection from the reference ``streams`` of
+    ``window_pages``."""
+    if n <= 0 or not window_pages:
+        return []
     if not streams:
         last = window_pages[-1]
         return list(range(last + 1, min(last + 1 + n, address_limit)))
     m = len(streams)
     selected: list[int] = []
+    taken: set[int] = set()
     for i, (_, _, pivot) in enumerate(streams):
         quota = n // m + (1 if i < n % m else 0)
         vpn = pivot
         while quota > 0 and vpn < address_limit:
-            if vpn not in selected:
+            if vpn not in taken:
+                taken.add(vpn)
                 selected.append(vpn)
                 quota -= 1
             vpn += 1
@@ -218,8 +264,9 @@ class DifferentialOracle:
         ``dependent`` the production page selection (before residency
         filtering, which is the executor's concern, not the equations').
         """
-        ref_score = ref_locality_score(pages, dmax)
-        if abs(ref_score - score) > _EPS:
+        index = positions_of(pages)
+        ref_score = ref_locality_score(pages, dmax, index)
+        if ref_score != score:
             self._mismatch(
                 "eq1-score",
                 f"S={score!r} but the reference computes {ref_score!r} "
@@ -228,7 +275,7 @@ class DifferentialOracle:
 
         paging_interval = 1.0 / paging_rate
         ref_horizon = rtt_s + page_transfer_time + paging_interval
-        if abs(ref_horizon - horizon) > _EPS * max(1.0, abs(ref_horizon)):
+        if ref_horizon != horizon:
             self._mismatch(
                 "eq3-horizon",
                 f"t={horizon!r} but 2*t0 + td + 1/r = {ref_horizon!r} "
@@ -244,7 +291,7 @@ class DifferentialOracle:
                 f"(c'/c={cpu_ratio!r}, S={score!r}, r={paging_rate!r}, t={horizon!r})",
             )
 
-        ref_streams = ref_outstanding_streams(pages, dmax)
+        ref_streams = ref_outstanding_streams(pages, dmax, index)
         got_streams = [(s.stride, s.end_index, s.pivot) for s in streams]
         if got_streams != ref_streams:
             self._mismatch(
@@ -253,7 +300,7 @@ class DifferentialOracle:
                 f"{ref_streams} for window {list(pages)}",
             )
 
-        ref_pages = ref_select_dependent_pages(pages, zone_size, dmax, address_limit)
+        ref_pages = _select(pages, zone_size, ref_streams, address_limit)
         if list(dependent) != ref_pages:
             self._mismatch(
                 "dependent-zone-selection",

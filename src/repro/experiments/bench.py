@@ -17,17 +17,27 @@ Absolute times on different machines are still not comparable — only
 scores are, and even those are a smoke test, not a microbenchmark.  For
 careful measurements use ``pytest benchmarks/bench_simulator_throughput.py
 --benchmark-only``.
+
+Every record and history line carries a :func:`provenance` block (commit,
+dirty flag, ``REPRO_*`` variables, Python and numpy versions, CPU count),
+so a number can be traced to what produced it.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+import numpy
+
 from ..cluster.runner import MigrationRun
+from ..config import CheckSpec, SimulationConfig
 from ..migration.ampom import AmpomMigration
 from ..migration.executor import ExecutionResult
 from ..migration.noprefetch import NoPrefetchMigration
@@ -62,9 +72,21 @@ def _run_demand_paging(obs=None) -> ExecutionResult:
     return MigrationRun(w, NoPrefetchMigration(), obs=obs).execute()
 
 
-def _run_ampom_pipeline(obs=None) -> ExecutionResult:
+def _run_ampom_pipeline(obs=None, config=None) -> ExecutionResult:
     w = SequentialWorkload(mib(4), sweeps=2)
-    return MigrationRun(w, AmpomMigration(), obs=obs).execute()
+    return MigrationRun(w, AmpomMigration(), config=config, obs=obs).execute()
+
+
+def _run_ampom_checked(obs=None) -> ExecutionResult:
+    """``ampom_pipeline`` with the invariant checker and the differential
+    oracle on.
+
+    Compare this case's score against ``ampom_pipeline`` to see what the
+    check layer costs on a prefetch-heavy run; the committed baseline
+    gates a check-layer slowdown (see docs/CHECKS.md).
+    """
+    checked = SimulationConfig().with_(checks=CheckSpec(enabled=True))
+    return _run_ampom_pipeline(obs=obs, config=checked)
 
 
 def _run_random_faults(obs=None) -> ExecutionResult:
@@ -201,6 +223,7 @@ CASES: dict[str, Callable[[], ExecutionResult]] = {
     "three_hop": _run_three_hop,
     "node_churn": _run_node_churn,
     "ampom_traced": _run_ampom_traced,
+    "ampom_checked": _run_ampom_checked,
     "cluster_sustained": _run_cluster_sustained,
     "cluster_sustained_telemetry": _run_cluster_sustained_telemetry,
     "cluster_300_smoke": _run_cluster_300_smoke,
@@ -221,6 +244,40 @@ def calibrate(repeats: int = 3) -> float:
             best = elapsed
     # Guard against a pathological zero on very coarse clocks.
     return max(best, 1e-9)
+
+
+def _git(*argv: str) -> str | None:
+    """``git argv`` run in this package's directory; ``None`` when there
+    is no git or no enclosing checkout."""
+    try:
+        out = subprocess.run(
+            ["git", *argv],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def provenance() -> dict:
+    """What produced a bench record: the source commit and whether the
+    tracked tree differs from it (both ``None`` outside a git checkout),
+    the ``REPRO_*`` variables set, the Python and numpy versions, and the
+    CPU count."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "commit": _git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "repro_env": {
+            k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
+        },
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def count_events(fn: Callable[[], object]) -> int:
@@ -263,6 +320,7 @@ def run_bench(repeats: int = 5, cases: dict[str, Callable[[], object]] | None = 
     calibration_s = calibrate()
     record: dict = {
         "format": BENCH_FORMAT,
+        "provenance": provenance(),
         "repeats": repeats,
         "calibration_s": calibration_s,
         "cases": {},
@@ -319,19 +377,25 @@ def append_history(
 
     ``write_record`` overwrites its output in place, so the latest record
     alone carries no trajectory; the history file keeps one JSON line per
-    bench run (``ts`` + calibration + per-case ``min_s``/``score``) and is
-    uploaded as a CI artifact.  Raw ``times_s`` samples are dropped — the
-    log is for trends, not re-analysis.
+    bench run (``ts`` + provenance + calibration + per-case
+    ``min_s``/``score``/``events_fired``) and is uploaded as a CI
+    artifact.  Raw ``times_s`` samples are dropped — the log is for
+    trends, not re-analysis.
     """
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     entry = {
         "ts": timestamp,
         "format": record.get("format"),
+        "provenance": record.get("provenance"),
         "repeats": record.get("repeats"),
         "calibration_s": record.get("calibration_s"),
         "cases": {
-            name: {"min_s": case["min_s"], "score": case["score"]}
+            name: {
+                "min_s": case["min_s"],
+                "score": case["score"],
+                "events_fired": case["events_fired"],
+            }
             for name, case in record.get("cases", {}).items()
         },
     }
@@ -353,6 +417,7 @@ __all__ = [
     "calibrate",
     "compare",
     "count_events",
+    "provenance",
     "run_bench",
     "time_case",
     "write_record",

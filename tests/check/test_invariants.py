@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cluster.runner import MigrationRun
@@ -134,6 +136,46 @@ class TestStructuredException:
         assert isinstance(violation.trace, tuple)
         assert len(violation.trace) >= 1  # recent fault events attached
         assert "residency-conservation" in str(violation)
+
+    def test_violation_report_text(self):
+        # Demand paging: every fault in the trail is a major fault with
+        # its own one-page request.
+        depth = 32
+        run = _checked_run(strategy=NoPrefetchMigration(), trace_depth=depth)
+        run.outcome.residency.mapped.pop()
+        with pytest.raises(InvariantViolation) as exc:
+            run.checker.final_audit()
+        violation = exc.value
+        assert len(violation.trace) <= depth
+        lines = str(violation).splitlines()
+        assert lines[0].startswith("[residency-conservation] residency tracks ")
+        assert lines[1] == "recent events (oldest first):"
+        events = lines[2:]
+        assert len(events) == len(violation.trace)
+        stamp = r"  t=\d+\.\d{6} "
+        fault = re.compile(stamp + r"fault: major vpn=\d+")
+        request = re.compile(stamp + r"request: demand=\[\d+\] prefetch=0 pages")
+        final = re.compile(stamp + "final: end of execution")
+        assert all(
+            fault.fullmatch(e) or request.fullmatch(e) or final.fullmatch(e)
+            for e in events
+        )
+        assert any(fault.fullmatch(e) for e in events)
+        assert any(request.fullmatch(e) for e in events)
+        assert final.fullmatch(events[-1])
+
+    def test_prefetching_request_reports_its_page_count(self):
+        run = _checked_run()
+        remote = sorted(run.outcome.residency.remote)[:4]
+        assert len(remote) == 4
+        run.checker.on_request(remote[:1], remote[1:])
+        run.outcome.residency.mapped.pop()
+        with pytest.raises(InvariantViolation) as exc:
+            run.checker._check_cheap()
+        assert re.fullmatch(
+            rf"  t=\d+\.\d{{6}} request: demand=\[{remote[0]}\] prefetch=3 pages",
+            str(exc.value).splitlines()[-1],
+        )
 
     def test_trace_bounded_by_spec_depth(self):
         run = _checked_run(trace_depth=4)

@@ -3,13 +3,16 @@ oracle actually fires on a disagreement."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.check.oracle import (
     DifferentialOracle,
     RefWindow,
+    positions_of,
     ref_locality_score,
     ref_outstanding_streams,
     ref_select_dependent_pages,
@@ -106,6 +109,123 @@ class TestReferencesMatchProduction:
             RefWindow(1)
 
 
+# The oracle's scans as first written: exhaustive O(l²) pair scans with no
+# position index.  Kept here, verbatim, as the reference the indexed scans
+# of repro.check.oracle are held to.
+def quadratic_stride_counts(pages, dmax):
+    if dmax < 1:
+        raise ValueError(f"dmax must be >= 1, got {dmax}")
+    n = len(pages)
+    participants: dict[int, set[int]] = {d: set() for d in range(1, dmax + 1)}
+    for p in range(n):
+        distances = [abs(q - p) for q in range(n) if pages[q] == pages[p] + 1]
+        if not distances:
+            continue
+        d = min(distances)
+        if 1 <= d <= dmax:
+            participants[d].add(pages[p])
+            participants[d].add(pages[p] + 1)
+    return {d: len(s) for d, s in participants.items()}
+
+
+def quadratic_locality_score(pages, dmax):
+    length = len(pages)
+    if length == 0:
+        return 0.0
+    counts = quadratic_stride_counts(pages, dmax)
+    score = sum(count / (length * d) for d, count in counts.items())
+    return min(max(score, 0.0), 1.0)
+
+
+def quadratic_outstanding_streams(pages, dmax):
+    if dmax < 1:
+        raise ValueError(f"dmax must be >= 1, got {dmax}")
+    n = len(pages)
+    by_pivot: dict[int, tuple[int, int, int]] = {}
+    for p in range(n):
+        forward = [q for q in range(p + 1, n) if pages[q] == pages[p] + 1]
+        if not forward:
+            continue
+        q = min(forward)
+        d = q - p
+        if d > dmax or q < n - d:
+            continue
+        pivot = pages[q] + 1
+        kept = by_pivot.get(pivot)
+        if kept is None or q > kept[1]:
+            by_pivot[pivot] = (d, q, pivot)
+    return sorted(by_pivot.values(), key=lambda s: (s[1], s[0]))
+
+
+def quadratic_select_dependent_pages(window_pages, n, dmax, address_limit):
+    if n <= 0 or not window_pages:
+        return []
+    streams = quadratic_outstanding_streams(window_pages, dmax)
+    if not streams:
+        last = window_pages[-1]
+        return list(range(last + 1, min(last + 1 + n, address_limit)))
+    m = len(streams)
+    selected: list[int] = []
+    for i, (_, _, pivot) in enumerate(streams):
+        quota = n // m + (1 if i < n % m else 0)
+        vpn = pivot
+        while quota > 0 and vpn < address_limit:
+            if vpn not in selected:
+                selected.append(vpn)
+                quota -= 1
+            vpn += 1
+    return selected
+
+
+@st.composite
+def raw_windows(draw):
+    """Raw windows, not fault streams, of up to 40 pages.  A small page
+    alphabet gives repeats (consecutive ones too) and backward pairs
+    (``r_p + 1`` before ``r_p``); interleaved ascending runs at the end
+    give several outstanding streams, whose selections can overlap."""
+    pages = draw(st.lists(st.integers(min_value=0, max_value=24), max_size=40))
+    starts = draw(st.lists(st.integers(min_value=0, max_value=24), max_size=3))
+    for step in range(draw(st.integers(min_value=0, max_value=4))):
+        pages.extend(start + step for start in starts)
+    return pages[-40:]
+
+
+class TestIndexedScansMatchQuadratic:
+    """The indexed scans equal the O(l²) pair scans on every window."""
+
+    @given(raw_windows(), dmaxes)
+    @example(pages=[6, 9, 9, 5, 6], dmax=3)  # nearest successor is behind
+    def test_stride_counts(self, pages, dmax):
+        expected = quadratic_stride_counts(pages, dmax)
+        assert ref_stride_counts(pages, dmax) == expected
+        assert ref_stride_counts(pages, dmax, positions_of(pages)) == expected
+
+    @given(raw_windows(), dmaxes)
+    def test_locality_score(self, pages, dmax):
+        expected = quadratic_locality_score(pages, dmax)
+        assert ref_locality_score(pages, dmax) == expected
+        assert ref_locality_score(pages, dmax, positions_of(pages)) == expected
+
+    @given(raw_windows(), dmaxes)
+    @example(pages=[4, 9, 9, 5, 4, 5], dmax=3)  # two pairs share pivot 6
+    def test_outstanding_streams(self, pages, dmax):
+        expected = quadratic_outstanding_streams(pages, dmax)
+        assert ref_outstanding_streams(pages, dmax) == expected
+        assert ref_outstanding_streams(pages, dmax, positions_of(pages)) == expected
+
+    @given(
+        raw_windows(),
+        st.integers(min_value=-1, max_value=256),
+        dmaxes,
+        st.integers(min_value=0, max_value=300),
+    )
+    @example(pages=[5, 10, 6, 11], n=41, dmax=2, limit=300)  # quotas overlap
+    def test_dependent_page_selection(self, pages, n, dmax, limit):
+        assert ref_select_dependent_pages(pages, n, dmax, limit) == (
+            quadratic_select_dependent_pages(pages, n, dmax, limit)
+        )
+
+
 class TestVerifyAnalysis:
     def _analysis(self, **overrides):
         """One genuine analysis of a sequential window; overrides inject
@@ -148,6 +268,18 @@ class TestVerifyAnalysis:
         with pytest.raises(InvariantViolation) as exc:
             oracle.verify_analysis(**self._analysis(score=0.5))
         assert exc.value.invariant == "oracle:eq1-score"
+
+    def test_one_ulp_off_caught(self):
+        # Production and oracle share the float operation order, so the
+        # comparisons are exact: a one-ulp difference is a mismatch.
+        good = self._analysis()
+        oracle = DifferentialOracle()
+        for field, invariant in (("score", "eq1-score"), ("horizon", "eq3-horizon")):
+            with pytest.raises(InvariantViolation) as exc:
+                oracle.verify_analysis(
+                    **self._analysis(**{field: math.nextafter(good[field], 2.0)})
+                )
+            assert exc.value.invariant == f"oracle:{invariant}"
 
     def test_wrong_horizon_caught(self):
         oracle = DifferentialOracle()

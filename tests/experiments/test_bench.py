@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 
 from repro.experiments import bench
 
@@ -28,6 +30,16 @@ class TestHarness:
         assert case["min_s"] == min(case["times_s"])
         assert case["score"] == case["min_s"] / record["calibration_s"]
         assert case["events_fired"] == 0
+        prov = record["provenance"]
+        assert set(prov) == {"commit", "dirty", "repro_env", "python", "numpy", "cpu_count"}
+        assert all(k.startswith("REPRO_") for k in prov["repro_env"])
+
+    def test_provenance_lists_repro_variables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKS", "1")
+        prov = bench.provenance()
+        assert prov["repro_env"]["REPRO_CHECKS"] == "1"
+        assert prov["cpu_count"] == os.cpu_count()
+        assert prov["python"] == platform.python_version()
 
     def test_count_events_is_a_deterministic_work_count(self):
         counts = [bench.count_events(bench.CASES["demand_paging"]) for _ in range(2)]
@@ -42,6 +54,7 @@ class TestHarness:
             "three_hop",
             "node_churn",
             "ampom_traced",
+            "ampom_checked",
             "cluster_sustained",
             "cluster_sustained_telemetry",
             "cluster_300_smoke",
@@ -55,6 +68,23 @@ class TestHarness:
         result = bench.CASES["ampom_traced"](obs=obs)
         assert obs.tracer.spans
         obs.tracer.verify_budget(result.budget)
+
+    def test_checked_case_runs_checker_and_oracle(self):
+        from unittest import mock
+
+        from repro.check import DifferentialOracle, InvariantChecker
+
+        with mock.patch.object(
+            DifferentialOracle, "verify_analysis", autospec=True,
+            side_effect=DifferentialOracle.verify_analysis,
+        ) as oracle, mock.patch.object(
+            InvariantChecker, "final_audit", autospec=True,
+            side_effect=InvariantChecker.final_audit,
+        ) as audit:
+            checked = bench.CASES["ampom_checked"]()
+        assert oracle.call_count > 0 and audit.call_count == 1
+        plain = bench.CASES["ampom_pipeline"]()
+        assert checked.counters.as_dict() == plain.counters.as_dict()
 
     def test_write_record_roundtrip(self, tmp_path):
         record = bench.run_bench(repeats=1, cases={"noop": _noop})
@@ -76,8 +106,9 @@ class TestHistory:
         entry = lines[0]
         assert entry["format"] == bench.BENCH_FORMAT
         assert set(entry["cases"]) == {"noop"}
+        assert entry["provenance"] == record["provenance"]
         # Trend fields only — raw samples are deliberately dropped.
-        assert set(entry["cases"]["noop"]) == {"min_s", "score"}
+        assert set(entry["cases"]["noop"]) == {"min_s", "score", "events_fired"}
 
     def test_append_history_stamps_wallclock_when_unset(self, tmp_path):
         record = bench.run_bench(repeats=1, cases={"noop": _noop})
