@@ -16,9 +16,11 @@ Examples
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Sequence
 
 from .config import FaultSpec, NetworkSpec, RetrySpec
+from .cluster.parallel import parse_jobs, resolve_jobs
 from .cluster.runner import MigrationRun
 from .experiments import figures, tables
 from .metrics.report import format_table
@@ -27,6 +29,14 @@ from .workloads.hpcc import hpcc_workload
 KERNEL_CHOICES = figures.KERNELS
 SCHEME_CHOICES = figures.SCHEMES
 TRACE_FORMATS = ("perfetto", "jsonl", "flame")
+
+
+def _jobs_arg(raw: str) -> int:
+    """``--jobs`` type: a worker count or 'auto' (a usage error otherwise)."""
+    try:
+        return parse_jobs(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,6 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--scale", type=float, default=figures.DEFAULT_SCALE)
     figure.add_argument(
         "--jobs",
+        type=_jobs_arg,
+        metavar="N|auto",
         default="auto",
         help="worker processes for the sweep (a count, or 'auto' for one "
         "per CPU; results are identical at any width)",
@@ -220,15 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     crun.add_argument(
         "--json", action="store_true", help="emit per-migrant results as JSON"
-    )
-    crun.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N|auto",
-        help="shard phase 2 of a sustained-load run across forked workers "
-        "when the decided migrations are node-disjoint (byte-identical "
-        "results; falls back to sequential otherwise; default "
-        "$REPRO_SHARD, else 1)",
     )
     crun_obs = crun.add_argument_group(
         "observability",
@@ -436,6 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--jobs",
+        type=_jobs_arg,
+        metavar="N|auto",
         default="auto",
         help="worker processes for the scenario matrix (count or 'auto')",
     )
@@ -454,6 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument(
         "--jobs",
+        type=_jobs_arg,
+        metavar="N|auto",
         default="auto",
         help="worker processes for the scenario matrix (count or 'auto')",
     )
@@ -491,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--against",
         default=None,
         help="baseline JSON to gate against (e.g. "
-        "benchmarks/baselines/BENCH_throughput.json)",
+        "benchmarks/baselines/BENCH_throughput.json); exits 2 if it was "
+        "recorded under different REPRO_* settings",
     )
     bench.add_argument(
         "--max-regression",
@@ -536,6 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
     arena.add_argument("--seed", type=int, default=0)
     arena.add_argument(
         "--jobs",
+        type=_jobs_arg,
+        metavar="N|auto",
         default=None,
         help="worker processes for the grid (a count, or 'auto' for one per "
         "CPU; results are identical at any width)",
@@ -1017,9 +1027,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.policy is not None:
         print("cluster run: --policy applies to sustained-load scenarios only")
         return 2
-    if args.jobs is not None:
-        print("cluster run: --jobs applies to sustained-load scenarios only")
-        return 2
     runtime = ScenarioRuntime(spec, obs=_cluster_obs(args))
     results = runtime.execute()
     _write_cluster_obs(runtime.obs, args)
@@ -1134,7 +1141,7 @@ def _run_sustained_cli(spec, label: str, args: argparse.Namespace) -> int:
     if args.policy is not None:
         sustained = dataclasses.replace(sustained, policy=args.policy)
     driver = SustainedLoadDriver(spec.graph, sustained, config=spec.config)
-    res = driver.execute(obs=_cluster_obs(args), jobs=args.jobs)
+    res = driver.execute(obs=_cluster_obs(args))
     report = res.report
     _write_cluster_obs(driver.obs, args)
     if args.json:
@@ -1309,6 +1316,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     baseline = _json.loads(Path(args.against).read_text())
+    differing = bench.env_differences(record, baseline)
+    if differing:
+        print(
+            f"bench: {args.against} was recorded with different REPRO_* "
+            f"settings ({', '.join(differing)}); timings are not comparable"
+        )
+        return 2
     limit = (
         args.max_regression
         if args.max_regression is not None
@@ -1470,6 +1484,11 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
+    try:
+        resolve_jobs(None)  # a bad $REPRO_JOBS fails here, not mid-sweep
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

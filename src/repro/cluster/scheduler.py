@@ -591,19 +591,13 @@ class SchedulerDriver:
             )
         return tuple(specs)
 
-    def execute(self, obs=None, jobs=None) -> SchedulerDriveResult:
+    def execute(self, obs=None) -> SchedulerDriveResult:
         """Phases 1 + 2: plan, then simulate every decided migration.
 
-        The (sequential) planning phase is the epoch barrier: once the
-        decision log is fixed, node-disjoint migrant groups can be
-        simulated in forked shards (``jobs`` > 1 or ``REPRO_SHARD``) with
-        byte-identical results; :func:`plan_scenario_shards` quiesces to
-        the one-runtime path whenever a message could cross a shard (the
-        plan lands on :attr:`shard_plan` either way).  Node-fault configs
-        always take the sequential path, so the re-targeting hook never
-        needs to reach across shards.
+        The planning phase fixes the decision log; phase 2 executes those
+        migrations in one :class:`ScenarioRuntime`, with the re-targeting
+        hook armed under a node-fault plan.
         """
-        from .parallel import execute_sharded, plan_scenario_shards
         from .session import ScenarioRuntime
         from .topology import ScenarioSpec
 
@@ -621,18 +615,13 @@ class SchedulerDriver:
                 if name not in migrating and done_at == done_at:
                     jlog.finish(name, done_at, "completed", hops=0)
         results: list = []
-        self.shard_plan = None
         if migrants:
             spec = ScenarioSpec(
                 graph=self.graph, migrants=migrants, config=self.config
             )
-            self.shard_plan = plan_scenario_shards(spec, obs=obs, jobs=jobs)
-            if self.shard_plan.parallel:
-                results = execute_sharded(spec, plan=self.shard_plan)
-            else:
-                self.runtime = ScenarioRuntime(spec, obs=obs)
-                self._install_retarget(self.runtime)
-                results = self.runtime.execute()
+            self.runtime = ScenarioRuntime(spec, obs=obs)
+            self._install_retarget(self.runtime)
+            results = self.runtime.execute()
         return SchedulerDriveResult(
             report=report, decisions=decisions, migrants=migrants, results=results
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError, MigrationError, ProcessLostError
+from ..errors import MigrationError, ProcessLostError
 from ..faults import (
     FaultEventKind,
     FaultInjectionLog,
@@ -57,9 +57,6 @@ class ScenarioRuntime:
         self,
         spec: ScenarioSpec,
         obs: "Observability | None" = None,
-        *,
-        global_ids: "tuple[int, ...] | None" = None,
-        global_count: int | None = None,
     ) -> None:
         self.spec = spec
         self.config = spec.resolved_config()
@@ -67,18 +64,6 @@ class ScenarioRuntime:
         #: keeps every hook detached and the simulator's no-observer fast
         #: path intact.
         self.obs = obs if obs is not None and obs.active else None
-        # Sharded execution (repro.cluster.parallel) runs a component of a
-        # larger spec in this runtime: global ids keep the per-migrant RNG
-        # streams, process names and single-migrant special cases exactly
-        # as they are in the full sequential run.
-        if global_ids is not None and len(global_ids) != len(spec.migrants):
-            raise ConfigurationError(
-                "global_ids must name every migrant of the spec"
-            )
-        self._global_ids = tuple(global_ids) if global_ids is not None else None
-        self._global_count = (
-            int(global_count) if global_count is not None else len(spec.migrants)
-        )
 
         self.sim = Simulator()
         graph = spec.graph
@@ -384,11 +369,10 @@ class ScenarioRuntime:
             raise MigrationError("ScenarioRuntime objects are single-use")
         self._executed = True
         migrants = self.spec.migrants
-        single = self._global_count == 1
+        single = len(migrants) == 1
         procs = []
         for i, migrant in enumerate(migrants):
-            gid = self._global_ids[i] if self._global_ids is not None else i
-            name = migrant.name or ("scenario" if single else f"migrant-{gid}")
+            name = migrant.name or ("scenario" if single else f"migrant-{i}")
             procs.append(self.sim.spawn(self._migrant(i, migrant), name=name))
         for proc in procs:
             self.sim.run_until_complete(proc, max_events=self.spec.max_events)
@@ -463,12 +447,11 @@ class ScenarioRuntime:
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         jlog = obs.journeys if obs is not None else None
-        single = self._global_count == 1
-        gid = self._global_ids[index] if self._global_ids is not None else index
+        single = len(self.spec.migrants) == 1
         # The journey key matches the spawned process name, which for
         # sustained phase-2 migrants is the phase-1 task name — the same
         # journey accumulates both phases' events.
-        jname = migrant.name or ("scenario" if single else f"migrant-{gid}")
+        jname = migrant.name or ("scenario" if single else f"migrant-{index}")
         journey = jname if jlog is not None else None
         path = migrant.path
         # Mutable copy of the path: failure-aware re-targeting may rewrite
@@ -603,7 +586,7 @@ class ScenarioRuntime:
         retry = config.retry if self.fault_plan is not None else None
         retry_rng = None
         if self.fault_plan is not None:
-            stream = "retry" if single else f"retry-{gid}"
+            stream = "retry" if single else f"retry-{index}"
             retry_rng = child_rng(config.seed, stream)
         if retry is None and plan is not None and hasattr(outcome.page_service, "next_seq"):
             # Pure node-fault runs arm the reliable protocol too: requests
@@ -611,7 +594,7 @@ class ScenarioRuntime:
             # loop turns that silence into detection + repair.  FFA has no
             # sequence IDs — it participates through aborts and kills only.
             retry = config.retry
-            stream = "retry" if single else f"retry-{gid}"
+            stream = "retry" if single else f"retry-{index}"
             retry_rng = child_rng(config.seed, stream)
 
         checker = None

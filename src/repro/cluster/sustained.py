@@ -280,24 +280,19 @@ class SustainedLoadDriver(SchedulerDriver):
         )
         return report, decisions
 
-    def execute(self, obs=None, jobs=None) -> SustainedResult:
-        """Phases 1 + 2; returns the summary plus executed migrations.
-
-        ``jobs`` (or ``REPRO_SHARD``) shards phase 2 across forked
-        workers when the decided migrations are node-disjoint — see
-        :meth:`SchedulerDriver.execute`.
-        """
-        drive = super().execute(obs=obs, jobs=jobs)
+    def execute(self, obs=None) -> SustainedResult:
+        """Phases 1 + 2; returns the summary plus executed migrations."""
+        drive = super().execute(obs=obs)
         assert self.report is not None  # set by plan()
         return SustainedResult(report=self.report, drive=drive)
 
 
-def run_sustained(spec, obs=None, jobs=None) -> SustainedResult:
+def run_sustained(spec, obs=None) -> SustainedResult:
     """Execute a sustained :class:`ScenarioSpec` (``spec.sustained`` set)."""
     if spec.sustained is None:
         raise ConfigurationError("scenario has no sustained section")
     driver = SustainedLoadDriver(spec.graph, spec.sustained, config=spec.config)
-    return driver.execute(obs=obs, jobs=jobs)
+    return driver.execute(obs=obs)
 
 
 __all__ = [

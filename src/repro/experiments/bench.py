@@ -11,7 +11,9 @@ in the same process.  Scores factor out much of the host's raw speed, so a
 committed baseline (``benchmarks/baselines/BENCH_throughput.json``) can
 gate regressions across heterogeneous CI runners; ``repro bench
 --against <baseline>`` exits non-zero when any case's score exceeds the
-baseline by more than ``--max-regression`` (default 25%).
+baseline by more than ``--max-regression`` (default 25%), and refuses
+with exit 2 a baseline recorded under different ``REPRO_*`` settings
+(:func:`env_differences`).
 
 Absolute times on different machines are still not comparable — only
 scores are, and even those are a smoke test, not a microbenchmark.  For
@@ -286,7 +288,7 @@ def count_events(fn: Callable[[], object]) -> int:
 
     A deterministic work count to read next to the noisy wall time: the
     same for a given case on any host.  Runs forked to worker processes
-    (``REPRO_JOBS``/``REPRO_SHARD``) are not counted.
+    (``REPRO_JOBS``) are not counted.
     """
     sims: list[Simulator] = []
     init = Simulator.__init__
@@ -362,6 +364,21 @@ def compare(current: dict, baseline: dict, max_regression: float = DEFAULT_MAX_R
     return breaches
 
 
+def env_differences(current: dict, baseline: dict) -> list[str]:
+    """Sorted ``REPRO_*`` names set differently in the two records'
+    provenance; non-empty means their timings are not comparable.
+
+    A record without provenance (an older baseline) counts as recorded
+    with no ``REPRO_*`` variable set.
+    """
+    envs = [
+        (record.get("provenance") or {}).get("repro_env") or {}
+        for record in (current, baseline)
+    ]
+    names = set(envs[0]) | set(envs[1])
+    return sorted(k for k in names if envs[0].get(k) != envs[1].get(k))
+
+
 def write_record(record: dict, out: Path | str = DEFAULT_OUT) -> Path:
     """Serialize a bench record to ``out`` (creating parent directories)."""
     path = Path(out)
@@ -417,6 +434,7 @@ __all__ = [
     "calibrate",
     "compare",
     "count_events",
+    "env_differences",
     "provenance",
     "run_bench",
     "time_case",

@@ -14,17 +14,12 @@ the benchmark output and EXPERIMENTS.md for side-by-side comparison.
 
 from __future__ import annotations
 
-from ..config import NetworkSpec, SimulationConfig
+from ..config import SimulationConfig
 
 
 def gideon_config(seed: int = 0) -> SimulationConfig:
     """The default (Fast Ethernet) testbed configuration."""
     return SimulationConfig(seed=seed)
-
-
-def broadband_config(seed: int = 0) -> SimulationConfig:
-    """Section 5.5's shaped broadband network (6 Mb/s, 2 ms)."""
-    return SimulationConfig(seed=seed).with_network(NetworkSpec.broadband())
 
 
 #: Section 5.2: freeze times for the 575 MB DGEMM kernel (seconds).

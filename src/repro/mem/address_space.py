@@ -104,10 +104,6 @@ class AddressSpace:
         """Pages that would have to be shipped by openMosix's migration."""
         return frozenset(self._dirty)
 
-    @property
-    def n_dirty_pages(self) -> int:
-        return len(self._dirty)
-
     def mark_dirty(self, vpn: int) -> None:
         self._check_vpn(vpn)
         self._dirty.add(vpn)

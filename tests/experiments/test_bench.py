@@ -156,3 +156,45 @@ class TestRegressionGate:
         baseline = json.loads(bench.DEFAULT_BASELINE.read_text())
         assert baseline["format"] == bench.BENCH_FORMAT
         assert set(bench.CASES) <= set(baseline["cases"])
+
+
+class TestComparableBaseline:
+    """`--against` refuses a baseline recorded under other REPRO_* settings."""
+
+    @staticmethod
+    def _with_env(record, env):
+        return {**record, "provenance": {"repro_env": env}}
+
+    def test_same_settings_are_comparable(self):
+        base = self._with_env(_record({"a": 1.0}), {"REPRO_CHECKS": "1"})
+        cur = self._with_env(_record({"a": 1.0}), {"REPRO_CHECKS": "1"})
+        assert bench.env_differences(cur, base) == []
+
+    def test_missing_provenance_counts_as_no_variables(self):
+        plain = _record({"a": 1.0})
+        assert bench.env_differences(self._with_env(plain, {}), plain) == []
+        checked = self._with_env(plain, {"REPRO_CHECKS": "1", "REPRO_JOBS": "2"})
+        assert bench.env_differences(checked, plain) == ["REPRO_CHECKS", "REPRO_JOBS"]
+
+    def test_changed_value_differs(self):
+        base = self._with_env(_record({"a": 1.0}), {"REPRO_JOBS": "2"})
+        cur = self._with_env(_record({"a": 1.0}), {"REPRO_JOBS": "auto"})
+        assert bench.env_differences(cur, base) == ["REPRO_JOBS"]
+
+    def test_cli_exits_2_naming_the_variables(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(_record({"a": 1.0})))
+        checked = self._with_env(_record({"a": 1.0}), {"REPRO_CHECKS": "1"})
+        checked["calibration_s"] = 1.0
+        checked["cases"]["a"].update(min_s=1.0, events_fired=0)
+        monkeypatch.setattr(bench, "run_bench", lambda repeats: checked)
+        rc = main([
+            "bench", "--quick", "--out", str(tmp_path / "out.json"),
+            "--history", "none", "--against", str(baseline),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 2
+        refusal = [line for line in out.splitlines() if "not comparable" in line]
+        assert len(refusal) == 1 and "REPRO_CHECKS" in refusal[0]

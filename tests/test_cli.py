@@ -432,3 +432,32 @@ def test_chaos_reports_unsupported_pair_instead_of_crashing(capsys):
         ("three-hop-lossy", "FFA")
     ]
     assert "FFA" in payload["unsupported"][0]["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["check", "diff", "--jobs", "many"], None),
+        (["check", "record", "--jobs", "two"], None),
+        (["figure", "5", "--jobs", "many"], None),
+        (["arena", "--jobs", "x"], None),
+        (["arena"], "many"),
+        (["cluster", "run", "--preset", "cluster_32", "--jobs", "2"], None),
+    ],
+)
+def test_bad_jobs_value_is_a_one_line_usage_error(argv, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_JOBS", env)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "Traceback" not in err
+    if env is not None:
+        assert "REPRO_JOBS" in errors[0]
